@@ -1,7 +1,8 @@
 """Command line harness: run configured experiments, write CSV reports.
 
 Exit codes: 0 when every metric passes, 1 when a metric fails (the report is
-still written), 2 for usage or configuration errors.
+still written), 2 for usage or configuration errors, including those that only
+surface while the experiment runs.
 """
 
 from __future__ import annotations
@@ -53,15 +54,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         data["out"] = args.out
     try:
         spec = ex.parse_spec(data)
-    except ex.SpecError as err:
+        if spec.out is None:
+            raise ex.SpecError("no output directory given (config key 'out' or --out)")
+        # a configuration can pass the schema and still be one the run cannot
+        # honour (an ensemble too small for its statistics, say)
+        report = ex.run(spec)
+        ex.write_report(report, spec.out)
+    except (ValueError, ArithmeticError) as err:
         print(f"edgerace: {err}", file=sys.stderr)
         return USAGE_ERROR
-    if spec.out is None:
-        print("edgerace: no output directory given (config key 'out' or --out)",
-              file=sys.stderr)
-        return USAGE_ERROR
-    report = ex.run(spec)
-    ex.write_report(report, spec.out)
     for metric in report.metrics:
         status = "pass" if metric.passed else "FAIL"
         print(f"{status}  {metric.name} = {metric.value:.6g} "

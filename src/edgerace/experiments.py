@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,6 +87,38 @@ class ExperimentSpec:
         return (int(self.seed),)
 
 
+def _number(key: str, value, minimum: float, integer: bool = False) -> float | int:
+    """A JSON number of at least `minimum`: a whole number when `integer`, else finite."""
+    valid = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if valid and integer:
+        valid = isinstance(value, int) or value.is_integer()
+    elif valid:
+        valid = abs(value) <= sys.float_info.max
+    if not valid:
+        kind = "an integer" if integer else "a finite number"
+        raise SpecError(f"{key} must be {kind}, got {value!r}")
+    if value < minimum:
+        raise SpecError(f"{key} must be at least {minimum}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _check_param(key: str, value, default) -> None:
+    """Type- and range-check one experiment option against its default's type."""
+    if isinstance(default, int):
+        _number(key, value, 1, integer=True)
+    elif isinstance(default, float):
+        _number(key, value, -math.inf)
+    elif key == "taus":
+        if not isinstance(value, list) or not value:
+            raise SpecError(f"taus must be a nonempty list of integers, got {value!r}")
+        for tau in value:
+            _number("taus entry", tau, 1, integer=True)
+    elif key == "battery":
+        if not isinstance(value, list) or not all(
+                isinstance(f, dict) and {"x", "y"} <= set(f) for f in value):
+            raise SpecError("battery must be a list of objects with keys x and y")
+
+
 def parse_spec(data: dict) -> ExperimentSpec:
     if not isinstance(data, dict):
         raise SpecError("configuration must be a JSON object")
@@ -93,32 +127,40 @@ def parse_spec(data: dict) -> ExperimentSpec:
         raise SpecError(f"unknown experiment name {name!r}; see `edgerace list`")
     if "seed" not in data:
         raise SpecError("a seed is required; wall-clock seeding is not supported")
-    try:
-        seed = int(data["seed"])
-    except (TypeError, ValueError):
-        raise SpecError("seed must be an integer") from None
+    seed = _number("seed", data["seed"], 0, integer=True)
     model = data.get("model", {"kind": "gaussian", "mean": 0.0, "variance": 1.0})
+    if not isinstance(model, dict):
+        raise SpecError("model must be a JSON object")
     try:
         inc.model_from_dict(model)
-    except (KeyError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise SpecError(f"bad model specification: {err}") from None
+    s = _number("s", data.get("s", 1.0), 0.0)
+    if s <= 0:
+        raise SpecError(f"s must be positive, got {s!r}")
+    threads = data.get("threads")
+    if threads is not None:
+        threads = _number("threads", threads, 1, integer=True)
     known = {"experiment", "seed", "model", "s", "backend", "threads", "out",
              "tolerances"}
     params = {k: v for k, v in data.items() if k not in known}
     defaults = _DEFAULTS[name]
-    for k in params:
+    for k, v in params.items():
         if k not in defaults:
             raise SpecError(f"unknown option {k!r} for experiment {name}")
-    if "ensemble" in params and int(params["ensemble"]) < 1:
-        raise SpecError("ensemble size must be at least 1")
+        _check_param(k, v, defaults[k])
     tolerances = data.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise SpecError("tolerances must be a JSON object")
     bad_tol = set(tolerances) - set(defaults["tolerances"])
     if bad_tol:
         raise SpecError(f"unknown tolerance keys {sorted(bad_tol)} for experiment {name}")
-    return ExperimentSpec(name=name, seed=seed, model=model,
-                          s=float(data.get("s", 1.0)),
-                          backend=str(data.get("backend", "auto")),
-                          threads=None if data.get("threads") is None else int(data["threads"]),
+    for k, v in tolerances.items():
+        _number(f"tolerance {k}", v, 0.0)
+    if "alpha" in tolerances and tolerances["alpha"] not in st.KS_COEFF:
+        raise SpecError(f"tolerance alpha must be one of {sorted(st.KS_COEFF)}")
+    return ExperimentSpec(name=name, seed=seed, model=model, s=s,
+                          backend=str(data.get("backend", "auto")), threads=threads,
                           out=data.get("out"), params=params, tolerances=dict(tolerances))
 
 
@@ -503,10 +545,16 @@ def run(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    # a temp name per process and thread, so concurrent writers never share one
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "x", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -517,7 +565,10 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def write_report(report: ExperimentReport, outdir: str) -> list[str]:
-    """report.csv, manifest.json and the per-experiment data CSVs, atomically."""
+    """report.csv, the per-experiment data CSVs and then manifest.json, each atomically.
+
+    manifest.json is written last, as the marker that the report is complete.
+    """
     os.makedirs(outdir, exist_ok=True)
     written = []
     rows = [[m.name, fmt17(m.value), fmt17(m.target), fmt17(m.tolerance),

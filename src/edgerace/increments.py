@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 from scipy.stats import norm
 
-from .numerics import monotone_root
+from .numerics import logsumexp, monotone_root
 from .streams import StreamKey, generator, substream
 
 DENSITY_TOL = 1e-8        # density must integrate to 1 within this
@@ -256,13 +255,6 @@ def _log_mgf_many(model: IncrementModel, lams: np.ndarray) -> tuple[np.ndarray, 
     means = p @ model.grid
     variances = p @ model.grid ** 2 - means ** 2
     return log_i, means, variances
-
-
-def tilted_mean_range(model: IncrementModel) -> tuple[float, float]:
-    """Means attainable by tilting within the declared safe range."""
-    lo = cumulant(model, model.lambda_lo).mean
-    hi = cumulant(model, model.lambda_hi).mean
-    return lo, hi
 
 
 def legendre(model: IncrementModel, q: float) -> Legendre:

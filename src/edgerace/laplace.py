@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import increments as inc
-from .numerics import adaptive_gauss, fmt17, monotone_root
+from .numerics import adaptive_gauss, fmt17, logsumexp, monotone_root
 from .streams import StreamKey, generator
 
 NORMALIZE_TOL = 1e-12
@@ -54,6 +55,13 @@ class LaplaceMeasure:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "w", w)
 
+    @cached_property
+    def log_w(self) -> np.ndarray:
+        """log of the weights, computed once per measure."""
+        lw = np.log(self.w)
+        lw.setflags(write=False)
+        return lw
+
     @property
     def total_mass(self) -> float:
         return float(self.w.sum())
@@ -76,7 +84,7 @@ def point_mass(u: float, w: float = 1.0) -> LaplaceMeasure:
 
 def log_transform(rho: LaplaceMeasure, x: np.ndarray | float) -> np.ndarray | float:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    t = logsumexp(np.log(rho.w)[None, :] - np.outer(xs, rho.u), axis=1)
+    t = logsumexp(rho.log_w[None, :] - np.outer(xs, rho.u), axis=1)
     return t if np.ndim(x) else float(t[0])
 
 
@@ -121,25 +129,29 @@ def is_normalized(rho: LaplaceMeasure, tol: float = 1e-9) -> bool:
 
 def convolution_shift(rho: LaplaceMeasure, model: inc.IncrementModel) -> float:
     """Normalizing z for the increment-convolved measure (weights w e^{Lambda(u) - z u})."""
+    return _convolution(rho, model)[0]
+
+
+def _convolution(rho: LaplaceMeasure, model: inc.IncrementModel) -> tuple[float, np.ndarray]:
+    """Normalizing z and the per-atom cumulants Lambda(u) it was solved with."""
     if not is_normalized(rho):
         raise ValueError("measure must be normalized (unit mass) before convolving")
     if rho.u[-1] > model.lambda_hi:
         raise ValueError(
             f"atom at u={rho.u[-1]:.6g} outside the model's safe cumulant range")
     lam = np.array([inc.cumulant(model, float(u)).value for u in rho.u])
-    logw = np.log(rho.w) + lam
+    logw = rho.log_w + lam
 
     def f(z: float) -> float:
         return float(logsumexp(logw - z * rho.u))
 
     z0 = float(np.max(logw / np.maximum(rho.u, 1e-300)))
-    return monotone_root(f, z0 - 1.0, z0 + 1.0, xtol=1e-14)
+    return monotone_root(f, z0 - 1.0, z0 + 1.0, xtol=1e-14), lam
 
 
 def convolve_g(rho: LaplaceMeasure, model: inc.IncrementModel) -> LaplaceMeasure:
     """Increment convolution followed by the normalizing shift, on atoms."""
-    z = convolution_shift(rho, model)
-    lam = np.array([inc.cumulant(model, float(u)).value for u in rho.u])
+    z, lam = _convolution(rho, model)
     return LaplaceMeasure(rho.u, rho.w * np.exp(lam - z * rho.u))
 
 
@@ -216,7 +228,7 @@ class TailIntensity:
                 out = self.offset - np.log(ts / rho.w[0]) / rho.u[0]
             else:
                 logt = np.log(ts)
-                lw = np.log(rho.w)
+                lw = rho.log_w
                 # bracket from the extreme atoms: each single term bounds R below
                 cand = (lw[None, :] - logt[:, None]) / rho.u[None, :]
                 lo = cand.max(axis=1)
@@ -443,16 +455,6 @@ def expected_gap(f: TailIntensity | LaplaceMeasure, n: int, tol: float = 1e-9) -
     if remainder > tol:
         raise ArithmeticError("cannot certify the far-tail remainder of the gap integral")
     return val
-
-
-def sample_poisson_from_intensity(f: TailIntensity, count: int, stream: StreamKey) -> np.ndarray:
-    """Top `count` points of the Poisson process with expected count F above x.
-
-    The k-th point is F^{-1}(Gamma_k) for unit-rate arrival times Gamma_k.
-    """
-    rng = generator(stream)
-    arrivals = np.cumsum(rng.exponential(size=count))
-    return np.asarray(f.inverse(arrivals), dtype=float)
 
 
 def random_corpus(n_measures: int, stream: StreamKey, *, n_atoms: tuple[int, int] = (2, 6),

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -118,6 +120,72 @@ def test_write_report_overwrites_atomically(tmp_path):
     ex.write_report(report, str(tmp_path))
     assert (tmp_path / "report.csv").read_bytes() == first
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_write_report_concurrent_writers(tmp_path):
+    spec = small_spec("gaps", ensemble=500, n_max=3, k_max=2)
+    report = ex.run(spec)
+    errors = []
+
+    def write():
+        try:
+            for _ in range(20):
+                ex.write_report(report, str(tmp_path))
+        except OSError as err:
+            errors.append(err)
+
+    workers = [threading.Thread(target=write) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the writers as often as possible
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    reference = tmp_path / "reference"
+    ex.write_report(report, str(reference))
+    for name in ("report.csv", "gap_means.csv", "manifest.json"):
+        assert (tmp_path / name).read_bytes() == (reference / name).read_bytes()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("experiment, override", [
+    ("gaps", {"s": "abc"}),
+    ("gaps", {"s": -1}),
+    ("gaps", {"threads": "many"}),
+    ("contraction", {"corpus": "x"}),
+    ("gaps", {"ensemble": 2}),  # passes the schema, fails inside the run
+])
+def test_cli_bad_config_is_usage_error(tmp_path, capsys, experiment, override):
+    data = {"experiment": experiment, "seed": 3}
+    if experiment == "gaps":
+        data.update({"ensemble": 300, "n_max": 2, "k_max": 1})
+    data.update(override)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(data))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("edgerace: ")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_parse_spec_types_and_ranges():
+    base = {"experiment": "poissonize", "seed": 1}
+    for bad in ({"s": math.nan}, {"s": 0}, {"s": 10 ** 400}, {"threads": 0}, {"threads": 1.5},
+                {"seed": -1}, {"seed": "7"}, {"depth": True}, {"roundtrip_reps": 0},
+                {"taus": []}, {"taus": [1, "x"]}, {"tolerances": {"alpha": 0.2}},
+                {"tolerances": {"min_ratio": "2"}}, {"model": "gaussian"},
+                {"model": {"kind": "gaussian", "mean": 10 ** 400}}):
+        with pytest.raises(ex.SpecError):
+            ex.parse_spec({**base, **bad})
+    spec = ex.parse_spec({**base, "s": 2, "threads": 2, "ensemble": 3.0})
+    assert (spec.s, spec.threads, spec.params["ensemble"]) == (2.0, 2, 3.0)
 
 
 def test_cli_list(capsys):

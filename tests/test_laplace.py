@@ -296,14 +296,6 @@ def test_empirical_intensity_interpolation():
     assert f.value(12.0) == pytest.approx(math.exp(-1.3 * 12.0), rel=1e-9)
 
 
-def test_sample_poisson_from_intensity_deterministic():
-    f = lp.exponential_intensity(1.0)
-    a = lp.sample_poisson_from_intensity(f, 50, (3, 14))
-    b = lp.sample_poisson_from_intensity(f, 50, (3, 14))
-    np.testing.assert_array_equal(a, b)
-    assert np.all(np.diff(a) < 0)
-
-
 def test_measure_csv_round_trip(tmp_path, two_atom):
     rho = lp.measure([(0.123456789012345, 0.9876543210987654), (2.0, 1e-7)])
     path = tmp_path / "rho.csv"
