@@ -7,15 +7,14 @@ from .dynamics import (EvolutionRecord, EvolutionTrace, evolve, evolve_many,
                        regularity_count, truncation_bias)
 from .increments import (Cumulant, IncrementModel, Legendre, TailProbability,
                          TailQuery, TailRatio, cumulant, front_velocity, gaussian,
-                         legendre, sample, step_tail, sum_tail, tabulated,
+                         legendre, sample, step_tail, sum_tail, tabulated, tail_curve,
                          tail_query, tail_ratio, tilt, uniform)
 from .laplace import (LaplaceMeasure, TailIntensity, convolve_g, expected_gap,
                       exponential_intensity, gap_functional, intensity_from_measure,
                       intensity_table, level_functional, measure, normalize,
                       normalizing_shift, point_mass, shift, steeper, transform)
 from .poissonization import (Extraction, LeaderLaw, expected_count_above,
-                             extract_laplace, law_distance, leader_laws, tail_curve,
-                             z_front)
+                             extract_laplace, law_distance, leader_laws, z_front)
 from .stats import (EmpiricalCdf, KsResult, empirical_gap_cdf, ks_distance,
                     ks_two_sample, mpgfl_estimate, mpgfl_poisson)
 from .streams import StreamKey, generator, replica_map, stream, substream

@@ -9,14 +9,12 @@ construction open-ended in depth and bit-reproducible across window choices.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .laplace import TailIntensity, exponential_intensity
-from .numerics import fmt17
 from .streams import StreamKey, generator
 
 
@@ -125,22 +123,3 @@ def sample_from_tail_intensity(intensity: TailIntensity, depth: int | float,
 def sample_rem(s: float, z: float, depth: int | float, stream: StreamKey) -> Configuration:
     """Poisson configuration with the exponential intensity of rate s anchored at z."""
     return sample_from_tail_intensity(exponential_intensity(s, z), depth, stream)
-
-
-def write_positions_csv(config: Configuration, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["position"])
-        for x in config.positions:
-            writer.writerow([fmt17(x)])
-
-
-def read_positions_csv(path: str, window_depth: float | None = None) -> Configuration:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["position"]:
-        raise ValueError("expected a CSV with header position")
-    pos = np.array([float(r[0]) for r in rows[1:]])
-    if window_depth is None:
-        window_depth = float(pos[0] - pos[-1]) if pos.size > 1 else 0.0
-    return Configuration(pos, window_depth)

@@ -10,16 +10,13 @@ truncation never touches their statistics.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from . import increments as inc
 from .configurations import Configuration, gaps
-from .numerics import fmt17
 from .streams import StreamKey, substream
 
 
@@ -107,36 +104,6 @@ def _fit_occupancy(config: Configuration) -> tuple[float, float]:
     return float(np.exp(log_a)), lam
 
 
-def _log_tail_upper(model: inc.IncrementModel, tau: int, t: np.ndarray) -> np.ndarray:
-    """Upper bound on log P(S_tau >= t), valid for every threshold.
-
-    Gaussian models use the exact tail.  Otherwise the bound is 0 below the
-    mean, exactly -inf beyond the supported maximum, and the optimized
-    Chernoff exponent in between (clipped at the safe tilt range).
-    """
-    t = np.asarray(t, dtype=float)
-    if model.kind == "gaussian":
-        m, v = model.params
-        return norm.logsf((t - tau * m) / np.sqrt(tau * v))
-    out = np.zeros_like(t)
-    sup = tau * model.sup_support
-    out[t >= sup] = -np.inf
-    q = t / tau
-    mid = (q > model.mean) & (t < sup)
-    if np.any(mid):
-        q_hi = inc.cumulant(model, model.lambda_hi).mean
-        qs = np.minimum(q[mid], q_hi - 1e-12)
-        eta, rate = inc.legendre_many(model, qs)
-        chernoff = -tau * rate
-        # past the clip point, keep the boundary-tilt Chernoff line
-        beyond = q[mid] > qs
-        if np.any(beyond):
-            lam_hi = inc.cumulant(model, model.lambda_hi).value
-            chernoff[beyond] = -tau * (model.lambda_hi * q[mid][beyond] - lam_hi)
-        out[mid] = chernoff
-    return out
-
-
 def truncation_bias(config: Configuration, model: inc.IncrementModel, tau: int,
                     cutoff: float, fit: tuple[float, float] | None = None,
                     window: float | None = None) -> float:
@@ -154,7 +121,7 @@ def truncation_bias(config: Configuration, model: inc.IncrementModel, tau: int,
 
     def log_integrand(y: np.ndarray) -> np.ndarray:
         return (np.log(a * lam) + lam * y
-                + _log_tail_upper(model, tau, cutoff - (leader - y)))
+                + inc.log_tail_bound(model, tau, cutoff - (leader - y)))
 
     # scan for the effective upper limit, then integrate on a fine grid
     span = max(8.0 * tau * max(model.variance, 1.0), 40.0)
@@ -174,12 +141,3 @@ def truncation_bias(config: Configuration, model: inc.IncrementModel, tau: int,
     ys = np.linspace(w, y_hi, 4001)
     vals = np.exp(log_integrand(ys))
     return float(np.trapezoid(vals, ys))
-
-
-def write_trace_csv(trace: EvolutionTrace, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "leader_position", "displacement", "dropped_count"])
-        for t in range(trace.displacements.size):
-            writer.writerow([t + 1, fmt17(trace.leaders[t]),
-                             fmt17(trace.displacements[t]), int(trace.dropped[t])])

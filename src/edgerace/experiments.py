@@ -239,17 +239,13 @@ def _run_rem_stationarity(spec: ExperimentSpec) -> ExperimentReport:
     sigmas = spec.tolerance("battery_sigmas")
     key = spec.key()
 
-    def functional(positions: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> float:
-        u = positions[0] - positions
-        return float(np.exp(-np.interp(u, fx, fy, left=0.0, right=0.0).sum()))
-
     def one(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         config = cf.sample_rem(spec.s, 0.0, depth, substream(key, r, 0))
         record = dy.evolve(config, model, substream(key, r, 1))
         pre = -np.diff(config.positions[:k_max + 1])
         post = -np.diff(record.post.positions[:k_max + 1])
-        f_pre = np.array([functional(config.positions, fx, fy) for fx, fy in battery])
-        f_post = np.array([functional(record.post.positions, fx, fy) for fx, fy in battery])
+        f_pre = np.array([st.mpgfl_term(config, fx, fy) for fx, fy in battery])
+        f_post = np.array([st.mpgfl_term(record.post, fx, fy) for fx, fy in battery])
         return pre, post, f_pre, f_post
 
     results = replica_map(one, reps, spec.threads)
@@ -435,8 +431,7 @@ def _run_contraction(spec: ExperimentSpec) -> ExperimentReport:
     track_rows = []
     iters = None
     for it in range(1, 500):
-        z = lp.convolution_shift(rho, model)
-        rho = lp.convolve_g(rho, model)
+        z, rho = lp.convolution_shift(rho, model)
         track_rows.append([it, fmt17(rho.w[0]), fmt17(rho.w[1]), fmt17(z)])
         if rho.w[0] < threshold:
             iters = it

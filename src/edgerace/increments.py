@@ -2,9 +2,15 @@
 
 An :class:`IncrementModel` carries a density on a uniform quadrature grid and,
 for the gaussian and uniform kinds, closed forms that are used wherever they
-are exact.  On top of the density sit the cumulant generating function, its
-Legendre transform, exponential tilting, i.i.d. sampling, and tail
-probabilities of tau-step sums with three interchangeable backends.
+are exact.  On top of the density sit the cumulant generating function and its
+Legendre transform (each one vectorised function that also takes scalars),
+exponential tilting and i.i.d. sampling.
+
+This is the only module that knows how the tau-step tail P(S_tau >= y) is
+computed: strict single-point queries (`tail_query`/`sum_tail`, three
+interchangeable backends), full-line curves (`tail_curve`) and the Chernoff
+upper bound on the log-tail (`log_tail_bound`).  The Bahadur-Rao sharp-tail
+terms behind all three are built in one place, `_sharp_terms`.
 
 Every operation is pure; sampling takes an explicit stream key.
 """
@@ -12,12 +18,12 @@ Every operation is pure; sampling takes an explicit stream key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr
 
-from .numerics import logsumexp, monotone_root
+from .numerics import logsumexp
 from .streams import StreamKey, generator, substream
 
 DENSITY_TOL = 1e-8        # density must integrate to 1 within this
@@ -28,14 +34,14 @@ _COMPACT_EXPONENT_CAP = 80.0  # cap on |lambda| * support width for edge-support
 
 
 class Cumulant(NamedTuple):
-    value: float      # log exponential moment
-    mean: float       # mean of the tilted law
-    variance: float   # variance of the tilted law
+    value: float | np.ndarray     # log exponential moment
+    mean: float | np.ndarray      # mean of the tilted law
+    variance: float | np.ndarray  # variance of the tilted law
 
 
 class Legendre(NamedTuple):
-    eta: float        # tilt solving the mean condition
-    rate: float       # convex conjugate eta*q - Lambda(eta)
+    eta: float | np.ndarray       # tilt solving the mean condition
+    rate: float | np.ndarray      # convex conjugate eta*q - Lambda(eta)
 
 
 class TailProbability(NamedTuple):
@@ -164,8 +170,11 @@ def _safe_lambda_bounds(grid: np.ndarray, density: np.ndarray) -> tuple[float, f
 
 def gaussian(mean: float = 0.0, variance: float = 1.0, *, grid_halfwidth: float = 12.0,
              grid_points: int = 4001) -> IncrementModel:
-    if variance <= 0:
-        raise ValueError("variance must be positive")
+    # written so that NaN fails the checks too
+    if not np.isfinite(mean):
+        raise ValueError(f"gaussian mean must be finite, got {mean!r}")
+    if not 0.0 < variance < np.inf:
+        raise ValueError(f"gaussian variance must be positive and finite, got {variance!r}")
     sd = float(np.sqrt(variance))
     grid = np.linspace(mean - grid_halfwidth * sd, mean + grid_halfwidth * sd, grid_points)
     density = np.exp(-0.5 * ((grid - mean) / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
@@ -175,8 +184,11 @@ def gaussian(mean: float = 0.0, variance: float = 1.0, *, grid_halfwidth: float 
 
 
 def uniform(lo: float = 0.0, hi: float = 1.0, *, grid_points: int = 2001) -> IncrementModel:
-    if hi <= lo:
-        raise ValueError("need lo < hi")
+    for name, value in (("lo", lo), ("hi", hi)):
+        if not np.isfinite(value):
+            raise ValueError(f"uniform {name} must be finite, got {value!r}")
+    if not lo < hi:
+        raise ValueError(f"uniform needs lo < hi, got lo={lo!r}, hi={hi!r}")
     grid = np.linspace(lo, hi, grid_points)
     density = np.full(grid_points, 1.0 / (hi - lo))
     span = max(abs(lo), abs(hi), hi - lo)
@@ -195,112 +207,105 @@ def tabulated(grid: Sequence[float], density: Sequence[float]) -> IncrementModel
     return IncrementModel("tabulated", grid, density, lam_lo, lam_hi, mean, var, ())
 
 
-def _check_lambda(model: IncrementModel, lam: float) -> None:
-    if not (model.lambda_lo <= lam <= model.lambda_hi):
+def _check_lambda(model: IncrementModel, lam: np.ndarray | float) -> None:
+    lam = np.asarray(lam)
+    bad = ~((model.lambda_lo <= lam) & (lam <= model.lambda_hi))  # NaN is bad too
+    if np.any(bad):
         raise ValueError(
-            f"lambda={lam} outside the declared safe range "
+            f"lambda={float(lam[bad].flat[0])} outside the declared safe range "
             f"[{model.lambda_lo:.6g}, {model.lambda_hi:.6g}] of the {model.kind} model"
         )
 
 
-def _uniform_log_mgf(lo: float, hi: float, lam: float) -> float:
+def _uniform_log_mgf(lo: float, hi: float, lam: np.ndarray) -> np.ndarray:
     # log of (e^{lam hi} - e^{lam lo}) / (lam (hi - lo)), stable in both tails
     x = lam * (hi - lo) / 2.0
-    if abs(x) < 1e-4:
-        # log(sinh x / x) expanded around 0
-        corr = x * x / 6.0 - x ** 4 / 180.0
-    else:
-        corr = np.log1p(-np.exp(-2.0 * abs(x))) + abs(x) - np.log(2.0 * abs(x))
+    ax = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log(sinh x / x) expanded around 0, else its exact form
+        corr = np.where(ax < 1e-4, x * x / 6.0 - x ** 4 / 180.0,
+                        np.log1p(-np.exp(-2.0 * ax)) + ax - np.log(2.0 * ax))
     return lam * (lo + hi) / 2.0 + corr
 
 
-def _quad_cumulant(model: IncrementModel, lam: float) -> Cumulant:
-    t = lam * model.grid + _log_density(model) + np.log(_quad_weights(model.grid))
-    log_i = logsumexp(t)
-    p = np.exp(t - log_i)  # tilted probability mass on the grid
-    mean = float(np.dot(p, model.grid))
-    var = float(np.dot(p, (model.grid - mean) ** 2))
-    return Cumulant(float(log_i), mean, var)
+def _quad_cumulant(model: IncrementModel, lams: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Quadrature (log moment, tilted mean, centred tilted variance) per tilt."""
+    t = lams[:, None] * model.grid + _log_density(model) + np.log(_quad_weights(model.grid))
+    log_i = logsumexp(t, axis=1)
+    p = np.exp(t - log_i[:, None])  # tilted probability mass on the grid, one row per tilt
+    # row sums, not matrix products, so a row never depends on the others
+    mean = (p * model.grid).sum(axis=1)
+    var = (p * (model.grid - mean[:, None]) ** 2).sum(axis=1)
+    return log_i, mean, var
 
 
-def cumulant(model: IncrementModel, lam: float) -> Cumulant:
-    """Log exponential moment with tilted mean and variance.
+def cumulant(model: IncrementModel, lam: np.ndarray | float) -> Cumulant:
+    """Log exponential moment with tilted mean and variance, at a scalar or array of tilts.
 
     Derivatives come from quadrature of the tilted density, except for the
-    gaussian kind where everything is closed form.
+    gaussian kind where everything is closed form; the uniform log moment is
+    closed form too.  lam = 0 returns exactly (0, mean, variance).  A scalar
+    tilt gives floats, an array gives arrays of its shape.
     """
-    lam = float(lam)
-    _check_lambda(model, lam)
-    if lam == 0.0:
-        return Cumulant(0.0, model.mean, model.variance)
+    lams = np.asarray(lam, dtype=float)
+    _check_lambda(model, lams)
+    flat = lams.ravel()
     if model.kind == "gaussian":
         m, v = model.params
-        return Cumulant(m * lam + 0.5 * v * lam * lam, m + v * lam, v)
-    quad = _quad_cumulant(model, lam)
-    if model.kind == "uniform":
-        lo, hi = model.params
-        return Cumulant(_uniform_log_mgf(lo, hi, lam), quad.mean, quad.variance)
-    return quad
+        value, mean, var = m * flat + 0.5 * v * flat * flat, m + v * flat, np.full_like(flat, v)
+    else:
+        value, mean, var = _quad_cumulant(model, flat)
+        if model.kind == "uniform":
+            value = _uniform_log_mgf(*model.params, flat)
+    zero = flat == 0.0
+    parts = (np.where(zero, 0.0, value), np.where(zero, model.mean, mean),
+             np.where(zero, model.variance, var))
+    if lams.ndim == 0:
+        return Cumulant(*(float(a[0]) for a in parts))
+    return Cumulant(*(a.reshape(lams.shape) for a in parts))
 
 
-def _log_mgf_many(model: IncrementModel, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (log mgf, tilted mean, tilted variance) over an array of tilts."""
-    if model.kind == "gaussian":
-        m, v = model.params
-        return m * lams + 0.5 * v * lams ** 2, m + v * lams, np.full_like(lams, v)
-    base = _log_density(model) + np.log(_quad_weights(model.grid))
-    t = lams[:, None] * model.grid[None, :] + base[None, :]
-    log_i = logsumexp(t, axis=1)
-    p = np.exp(t - log_i[:, None])
-    means = p @ model.grid
-    variances = p @ model.grid ** 2 - means ** 2
-    return log_i, means, variances
+def legendre(model: IncrementModel, q: np.ndarray | float) -> Legendre:
+    """Tilt eta with tilted mean q, and the convex conjugate at q, for a scalar or array q.
 
-
-def legendre(model: IncrementModel, q: float) -> Legendre:
-    """Tilt eta with tilted mean q, and the convex conjugate at q.
-
-    q must be attainable: model.mean <= q < the tilted mean at the top of the
-    safe range.  q equal to the untilted mean returns (0, 0).
+    Every q must be attainable: model.mean <= q < the tilted mean at the top
+    of the safe range.  q equal to the untilted mean returns (0, 0).  The
+    gaussian tilt is closed form; other kinds interpolate a 512-point table of
+    tilted means and polish with Newton steps.
     """
-    q = float(q)
-    if abs(q - model.mean) <= _MEAN_EPS * max(1.0, abs(model.mean)):
-        return Legendre(0.0, 0.0)
-    if q < model.mean:
-        raise ValueError(f"target mean {q} below the untilted mean {model.mean}")
-    q_hi = cumulant(model, model.lambda_hi).mean
-    if q >= q_hi:
-        raise ValueError(f"target mean {q} not attainable within the safe tilt range (max {q_hi:.6g})")
+    q_in = np.asarray(q, dtype=float)
+    qs = q_in.ravel()
+    at_mean = np.abs(qs - model.mean) <= _MEAN_EPS * max(1.0, abs(model.mean))
+    below = (qs < model.mean) & ~at_mean
+    if np.any(below):
+        raise ValueError(f"target mean {qs[below][0]} below the untilted mean {model.mean}")
     if model.kind == "gaussian":
         m, v = model.params
-        eta = (q - m) / v
-        return Legendre(eta, eta * q - cumulant(model, eta).value)
-    eta = monotone_root(lambda e: cumulant(model, e).mean - q, 0.0, model.lambda_hi)
-    residual = cumulant(model, eta).mean - q
-    if abs(residual) > LEGENDRE_RESIDUAL:
-        raise ArithmeticError(f"tilted-mean equation residual {residual} exceeds {LEGENDRE_RESIDUAL}")
-    return Legendre(float(eta), float(eta * q - cumulant(model, eta).value))
-
-
-def legendre_many(model: IncrementModel, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized legendre over an array of attainable target means."""
-    qs = np.asarray(qs, dtype=float)
-    if model.kind == "gaussian":
-        m, v = model.params
+        q_hi = cumulant(model, model.lambda_hi).mean
         eta = (qs - m) / v
-        lam_val = m * eta + 0.5 * v * eta ** 2
-        return eta, eta * qs - lam_val
-    lo, hi = 0.0, model.lambda_hi
-    table = np.linspace(lo, hi, 512)
-    _, means, _ = _log_mgf_many(model, table)
-    if np.any(qs < model.mean - 1e-9) or np.any(qs > means[-1]):
-        raise ValueError("some target means are outside the attainable tilted range")
-    eta = np.interp(qs, means, table)
-    for _ in range(3):  # Newton polish on the monotone mean equation
-        log_i, m_e, v_e = _log_mgf_many(model, eta)
-        eta = np.clip(eta - (m_e - qs) / np.maximum(v_e, 1e-300), lo, hi)
-    log_i, m_e, _ = _log_mgf_many(model, eta)
-    return eta, eta * qs - log_i
+    else:
+        table = np.linspace(0.0, model.lambda_hi, 512)
+        means = cumulant(model, table).mean
+        q_hi = means[-1]
+        eta = np.interp(qs, means, table)
+        for _ in range(3):  # Newton polish on the monotone mean equation
+            c = cumulant(model, eta)
+            eta = np.clip(eta - (c.mean - qs) / np.maximum(c.variance, 1e-300),
+                          0.0, model.lambda_hi)
+    above = (qs >= q_hi) & ~at_mean
+    if np.any(above):
+        raise ValueError(f"target mean {qs[above][0]} not attainable within the safe "
+                         f"tilt range (max {q_hi:.6g})")
+    c = cumulant(model, eta)
+    residual = np.where(at_mean, 0.0, np.abs(c.mean - qs))
+    if np.any(residual > LEGENDRE_RESIDUAL):
+        raise ArithmeticError(f"tilted-mean equation residual {residual.max()} "
+                              f"exceeds {LEGENDRE_RESIDUAL}")
+    eta = np.where(at_mean, 0.0, eta)
+    rate = np.where(at_mean, 0.0, eta * qs - c.value)
+    if q_in.ndim == 0:
+        return Legendre(float(eta[0]), float(rate[0]))
+    return Legendre(eta.reshape(q_in.shape), rate.reshape(q_in.shape))
 
 
 def front_velocity(model: IncrementModel, s: float) -> float:
@@ -349,7 +354,7 @@ def step_tail(model: IncrementModel, t: np.ndarray | float) -> np.ndarray | floa
     t_arr = np.asarray(t, dtype=float)
     if model.kind == "gaussian":
         m, v = model.params
-        out = norm.sf((t_arr - m) / np.sqrt(v))
+        out = ndtr(-((t_arr - m) / np.sqrt(v)))
     elif model.kind == "uniform":
         lo, hi = model.params
         out = np.clip((hi - t_arr) / (hi - lo), 0.0, 1.0)
@@ -380,6 +385,22 @@ class TailQuery(NamedTuple):
     se_cap: float | None
 
 
+def _sharp_terms(model: IncrementModel, tau: int, q: np.ndarray | float,
+                 margin: float) -> tuple:
+    """Bahadur-Rao sharp-tail terms at per-step targets q.
+
+    q is first clipped into [mean, q_top - margin], q_top being the tilted
+    mean at the top of the safe range.  Returns the clipped q, the tilt eta,
+    the Legendre rate, the tilted variance (curvature) at eta, and
+    psi = eta * sqrt(tau * curvature).
+    """
+    q_top = cumulant(model, model.lambda_hi).mean
+    qs = np.clip(q, model.mean, q_top - margin)
+    eta, rate = legendre(model, qs)
+    curv = cumulant(model, eta).variance
+    return qs, eta, rate, curv, eta * np.sqrt(tau * curv)
+
+
 def tail_query(model: IncrementModel, tau: int, y: float, backend: str = "gaussian-exact",
                *, mc_samples: int = 10 ** 6, mc_stream: StreamKey | None = None,
                se_cap: float | None = None) -> TailQuery:
@@ -394,9 +415,8 @@ def tail_query(model: IncrementModel, tau: int, y: float, backend: str = "gaussi
     q = float(y) / tau
     if q <= model.mean:
         raise ValueError(f"per-step target {q} at or below the mean {model.mean}; query rejected")
-    eta, rate = legendre(model, q)
-    curv = cumulant(model, eta).variance
-    psi = eta * np.sqrt(tau * curv)
+    # a zero margin leaves q unclipped below q_max and lets legendre reject the rest
+    _, eta, rate, curv, psi = _sharp_terms(model, tau, q, 0.0)
     if backend == "mc-importance" and mc_stream is None:
         raise ValueError("mc-importance needs a stream key")
     return TailQuery(tau, float(y), backend, q, eta, rate, curv, psi,
@@ -441,7 +461,7 @@ def sum_tail(model: IncrementModel, query: TailQuery) -> TailProbability:
     """P(S_tau >= y) under the chosen backend."""
     if query.backend == "gaussian-exact":
         m, v = model.params
-        value = float(norm.sf((query.y - query.tau * m) / np.sqrt(query.tau * v)))
+        value = float(ndtr(-((query.y - query.tau * m) / np.sqrt(query.tau * v))))
         return TailProbability(value, None, query.backend)
     if query.backend == "br-approx":
         value = float(np.exp(-query.tau * query.rate)
@@ -465,18 +485,98 @@ def tail_ratio(model: IncrementModel, tau: int, q: float, x: float,
         raise ValueError(f"|x|={abs(x)} outside the polynomial window tau^beta={tau ** beta:.4g}")
     eta, _ = legendre(model, q)
     prediction = float(np.exp(-eta * x))
+
+    def tail(y: float, part: int) -> float:
+        stream = None if mc_stream is None else substream(mc_stream, part)
+        return sum_tail(model, tail_query(model, tau, y, backend, mc_samples=mc_samples,
+                                          mc_stream=stream)).value
+
+    denom = tail(q * tau, 0)
     if x == 0.0:
-        p = sum_tail(model, tail_query(model, tau, q * tau, backend,
-                                       mc_samples=mc_samples,
-                                       mc_stream=None if mc_stream is None else substream(mc_stream, 0))).value
-        return TailRatio(1.0, 1.0, p, p)
-    denom_q = tail_query(model, tau, q * tau, backend, mc_samples=mc_samples,
-                         mc_stream=None if mc_stream is None else substream(mc_stream, 0))
-    numer_q = tail_query(model, tau, q * tau + x, backend, mc_samples=mc_samples,
-                         mc_stream=None if mc_stream is None else substream(mc_stream, 1))
-    denom = sum_tail(model, denom_q).value
-    numer = sum_tail(model, numer_q).value
+        return TailRatio(1.0, 1.0, denom, denom)
+    numer = tail(q * tau + x, 1)
     return TailRatio(numer / denom, prediction, numer, denom)
+
+
+def tail_curve(model: IncrementModel, tau: int,
+               backend: str = "auto") -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized y -> P(S_tau >= y) over the whole line.
+
+    "auto" resolves to the exact normal tail for gaussian models and to the
+    sharp-tail approximation otherwise.  The approximation is only defined
+    beyond the central region, so the non-gaussian curve blends it with the
+    central-limit tail (log-linear in the standardized exceedance) between two
+    and four tilted standard deviations, and mirrors the construction on the
+    lower tail.  The blend serves full-line surrogate laws; strict
+    single-point queries, which reject targets outside the attainable range
+    instead of clipping them, are `tail_query` with `sum_tail` in this module.
+    """
+    if backend == "auto":
+        backend = "gaussian-exact" if model.kind == "gaussian" else "br-approx"
+    if backend == "gaussian-exact":
+        if model.kind != "gaussian":
+            raise ValueError("gaussian-exact backend requires a gaussian model")
+        m, v = model.params
+        scale = np.sqrt(tau * v)
+
+        def curve_exact(y: np.ndarray) -> np.ndarray:
+            # upper normal tail via ndtr of the negated argument (fast path)
+            return ndtr((tau * m - np.asarray(y, dtype=float)) / scale)
+
+        return curve_exact
+    if backend != "br-approx":
+        raise ValueError(f"backend {backend!r} cannot evaluate full tail curves")
+
+    sd = np.sqrt(tau * model.variance)
+
+    def curve(y: np.ndarray) -> np.ndarray:
+        ys = np.atleast_1d(np.asarray(y, dtype=float))
+        q = ys / tau
+        x = (ys - tau * model.mean) / sd
+        out = ndtr(-x)
+        upper = q > model.mean
+        if np.any(upper):
+            _, eta, rate, curv, psi = _sharp_terms(model, tau, q[upper], 1e-9)
+            with np.errstate(divide="ignore", over="ignore"):
+                log_sharp = (-tau * rate
+                             - np.log(np.maximum(eta, 1e-300))
+                             - 0.5 * np.log(2 * np.pi * tau * np.maximum(curv, 1e-300)))
+                log_central = log_ndtr(-x[upper])
+            weight = np.clip((psi - 2.0) / 2.0, 0.0, 1.0)
+            vals = np.exp((1.0 - weight) * log_central + weight * log_sharp)
+            vals[q[upper] >= model.sup_support] = 0.0
+            out[upper] = np.minimum(vals, 1.0)
+        return float(out[0]) if np.ndim(y) == 0 else out
+
+    return curve
+
+
+def log_tail_bound(model: IncrementModel, tau: int, t: np.ndarray) -> np.ndarray:
+    """Upper bound on log P(S_tau >= t) over an array of thresholds, valid for every one.
+
+    Gaussian models use the exact tail.  Otherwise the bound is 0 below the
+    mean, exactly -inf beyond the supported maximum, and the optimized
+    Chernoff exponent in between (clipped at the safe tilt range).
+    """
+    t = np.asarray(t, dtype=float)
+    if model.kind == "gaussian":
+        m, v = model.params
+        return log_ndtr(-((t - tau * m) / np.sqrt(tau * v)))
+    out = np.zeros_like(t)
+    sup = tau * model.sup_support
+    out[t >= sup] = -np.inf
+    q = t / tau
+    mid = (q > model.mean) & (t < sup)
+    if np.any(mid):
+        qs, _, rate, _, _ = _sharp_terms(model, tau, q[mid], 1e-12)
+        chernoff = -tau * rate
+        # past the clip point, keep the boundary-tilt Chernoff line
+        beyond = q[mid] > qs
+        if np.any(beyond):
+            lam_hi = cumulant(model, model.lambda_hi).value
+            chernoff[beyond] = -tau * (model.lambda_hi * q[mid][beyond] - lam_hi)
+        out[mid] = chernoff
+    return out
 
 
 def model_from_dict(spec: dict) -> IncrementModel:

@@ -13,7 +13,6 @@ This is the engine behind the steepness order and the contraction checks.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import increments as inc
-from .numerics import adaptive_gauss, fmt17, logsumexp, monotone_root
+from .numerics import adaptive_gauss, logsumexp, monotone_root
 from .streams import StreamKey, generator
 
 NORMALIZE_TOL = 1e-12
@@ -127,32 +126,32 @@ def is_normalized(rho: LaplaceMeasure, tol: float = 1e-9) -> bool:
     return abs(rho.total_mass - 1.0) <= tol
 
 
-def convolution_shift(rho: LaplaceMeasure, model: inc.IncrementModel) -> float:
-    """Normalizing z for the increment-convolved measure (weights w e^{Lambda(u) - z u})."""
-    return _convolution(rho, model)[0]
+class Convolution(NamedTuple):
+    z: float                 # normalizing shift of the convolved measure
+    measure: LaplaceMeasure  # atoms u with weights w e^{Lambda(u) - z u}, unit mass
 
 
-def _convolution(rho: LaplaceMeasure, model: inc.IncrementModel) -> tuple[float, np.ndarray]:
-    """Normalizing z and the per-atom cumulants Lambda(u) it was solved with."""
+def convolution_shift(rho: LaplaceMeasure, model: inc.IncrementModel) -> Convolution:
+    """Normalizing z for the increment-convolved measure, with the measure it normalizes."""
     if not is_normalized(rho):
         raise ValueError("measure must be normalized (unit mass) before convolving")
     if rho.u[-1] > model.lambda_hi:
         raise ValueError(
             f"atom at u={rho.u[-1]:.6g} outside the model's safe cumulant range")
-    lam = np.array([inc.cumulant(model, float(u)).value for u in rho.u])
+    lam = inc.cumulant(model, rho.u).value
     logw = rho.log_w + lam
 
     def f(z: float) -> float:
         return float(logsumexp(logw - z * rho.u))
 
     z0 = float(np.max(logw / np.maximum(rho.u, 1e-300)))
-    return monotone_root(f, z0 - 1.0, z0 + 1.0, xtol=1e-14), lam
+    z = monotone_root(f, z0 - 1.0, z0 + 1.0, xtol=1e-14)
+    return Convolution(z, LaplaceMeasure(rho.u, rho.w * np.exp(lam - z * rho.u)))
 
 
 def convolve_g(rho: LaplaceMeasure, model: inc.IncrementModel) -> LaplaceMeasure:
     """Increment convolution followed by the normalizing shift, on atoms."""
-    z, lam = _convolution(rho, model)
-    return LaplaceMeasure(rho.u, rho.w * np.exp(lam - z * rho.u))
+    return convolution_shift(rho, model).measure
 
 
 # ---------------------------------------------------------------------------
@@ -485,21 +484,3 @@ def random_corpus(n_measures: int, stream: StreamKey, *, n_atoms: tuple[int, int
             continue
         out.append(rho)
     return out
-
-
-def write_measure_csv(rho: LaplaceMeasure, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "w"])
-        for u, w in zip(rho.u, rho.w):
-            writer.writerow([fmt17(u), fmt17(w)])
-
-
-def read_measure_csv(path: str) -> LaplaceMeasure:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["u", "w"]:
-        raise ValueError("expected a CSV with header u,w")
-    us = np.array([float(r[0]) for r in rows[1:]])
-    ws = np.array([float(r[1]) for r in rows[1:]])
-    return LaplaceMeasure(us, ws)

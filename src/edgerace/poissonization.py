@@ -2,7 +2,8 @@
 extraction of an atomic measure whose transform reproduces the tail.
 
 The expected number of particles at or above x after tau steps is the sum of
-tau-step tail probabilities over the configuration.  Its unit crossing
+tau-step tail probabilities over the configuration, taken from
+`increments.tail_curve`.  Its unit crossing
 predicts the front; the exact leader law (product over particles) is compared
 with the Poisson surrogate exp(-expected count), and the expected-count tail
 is converted into atoms located at the tilt of each particle's per-step speed
@@ -11,87 +12,18 @@ demand, weighted by its reach probability.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import norm
 
 from . import increments as inc
 from .configurations import Configuration
+from .increments import tail_curve
 from .laplace import LaplaceMeasure
-from .numerics import fmt17
 from .streams import StreamKey
 
 _CHUNK = 256  # grid rows processed per block when summing over particles
-
-
-def tail_curve(model: inc.IncrementModel, tau: int,
-               backend: str = "auto") -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized y -> P(S_tau >= y) over the whole line.
-
-    "auto" resolves to the exact normal tail for gaussian models and to the
-    sharp-tail approximation otherwise.  The approximation is only defined
-    beyond the central region, so the non-gaussian curve blends it with the
-    central-limit tail (log-linear in the standardized exceedance) between two
-    and four tilted standard deviations, and mirrors the construction on the
-    lower tail; the blend serves full-line surrogate laws, while strict
-    single-point queries go through `increments.sum_tail`.
-    """
-    if backend == "auto":
-        backend = "gaussian-exact" if model.kind == "gaussian" else "br-approx"
-    if backend == "gaussian-exact":
-        if model.kind != "gaussian":
-            raise ValueError("gaussian-exact backend requires a gaussian model")
-        m, v = model.params
-        scale = np.sqrt(tau * v)
-
-        def curve_exact(y: np.ndarray) -> np.ndarray:
-            # upper normal tail via ndtr of the negated argument (fast path)
-            return ndtr((tau * m - np.asarray(y, dtype=float)) / scale)
-
-        return curve_exact
-    if backend != "br-approx":
-        raise ValueError(f"backend {backend!r} cannot evaluate full tail curves")
-
-    sd = np.sqrt(tau * model.variance)
-    q_top = inc.cumulant(model, model.lambda_hi).mean
-
-    def curve_blend(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        q = y / tau
-        out = np.empty_like(q)
-        central = norm.sf((y - tau * model.mean) / sd)
-
-        upper = q > model.mean
-        lower = ~upper
-        out[lower] = central[lower]
-        if np.any(upper):
-            qs = np.clip(q[upper], model.mean, q_top - 1e-9)
-            eta, rate = inc.legendre_many(model, qs)
-            _, _, curv = inc._log_mgf_many(model, eta)
-            psi = eta * np.sqrt(tau * np.maximum(curv, 1e-300))
-            with np.errstate(divide="ignore", over="ignore"):
-                log_sharp = (-tau * rate
-                             - np.log(np.maximum(eta, 1e-300))
-                             - 0.5 * np.log(2 * np.pi * tau * np.maximum(curv, 1e-300)))
-                log_central = norm.logsf((y[upper] - tau * model.mean) / sd)
-            weight = np.clip((psi - 2.0) / 2.0, 0.0, 1.0)
-            log_mix = (1.0 - weight) * log_central + weight * log_sharp
-            vals = np.exp(log_mix)
-            beyond = q[upper] >= model.sup_support
-            vals[beyond] = 0.0
-            out[upper] = np.minimum(vals, 1.0)
-        return out
-
-    def curve(y: np.ndarray) -> np.ndarray:
-        scalar = np.ndim(y) == 0
-        vals = curve_blend(np.atleast_1d(y))
-        return float(vals[0]) if scalar else vals
-
-    return curve
 
 
 def expected_count_above(config: Configuration, model: inc.IncrementModel, tau: int,
@@ -266,7 +198,7 @@ def extract_laplace(config: Configuration, model: inc.IncrementModel, tau: int,
         q_top = inc.cumulant(model, model.lambda_hi).mean
         if np.any(qs <= model.mean) or np.any(qs >= q_top):
             raise ValueError("tilt out of range for a retained particle; adjust the cutoff")
-        eta, _ = inc.legendre_many(model, qs)
+        eta, _ = inc.legendre(model, qs)
         w = curve(z - kept)
         return eta, w, int(config.size - kept.size)
 
@@ -290,11 +222,3 @@ def extract_laplace(config: Configuration, model: inc.IncrementModel, tau: int,
     np.add.at(u_out, groups, eta * w)
     u_out /= w_out
     return Extraction(LaplaceMeasure(u_out, w_out), z, total, dropped)
-
-
-def write_law_csv(law: LeaderLaw, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["position", "cdf"])
-        for x, c in zip(law.grid, law.cdf):
-            writer.writerow([fmt17(x), fmt17(c)])

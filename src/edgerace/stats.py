@@ -100,26 +100,33 @@ def _interp_table(x: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     return np.interp(x, fx, fy, left=0.0, right=0.0)
 
 
-def mpgfl_estimate(ensemble: Sequence[Configuration], fx: Sequence[float],
-                   fy: Sequence[float]) -> FunctionalEstimate:
-    """Ensemble mean of exp(-sum_n f(x1 - x_n)) for a tabulated gap weight f.
+def mpgfl_term(config: Configuration, fx: Sequence[float], fy: Sequence[float]) -> float:
+    """exp(-sum_n f(x1 - x_n)) of one configuration, for a tabulated gap weight f.
 
-    The n = 1 term f(0) is included; pass a table with f(0) = 0 for the
-    gap-only variant.  Every configuration must be faithful at least as deep
-    as the support of f.
+    The n = 1 term f(0) is included.  f must be nonnegative, and the
+    configuration faithful at least as deep as the support of f.
     """
     fx = np.asarray(fx, dtype=float)
     fy = np.asarray(fy, dtype=float)
     if np.any(fy < 0):
         raise ValueError("the test function must be nonnegative")
     support_end = float(fx[fy > 0].max()) if np.any(fy > 0) else 0.0
-    vals = np.empty(len(ensemble))
-    for i, config in enumerate(ensemble):
-        if config.window_depth < support_end:
-            raise ValueError(
-                f"configuration {i} window depth {config.window_depth} is shallower "
-                f"than the test-function support {support_end}")
-        vals[i] = np.exp(-_interp_table(gaps(config), fx, fy).sum())
+    if config.window_depth < support_end:
+        raise ValueError(
+            f"configuration window depth {config.window_depth} is shallower "
+            f"than the test-function support {support_end}")
+    return float(np.exp(-_interp_table(gaps(config), fx, fy).sum()))
+
+
+def mpgfl_estimate(ensemble: Sequence[Configuration], fx: Sequence[float],
+                   fy: Sequence[float]) -> FunctionalEstimate:
+    """Ensemble mean of `mpgfl_term`, exp(-sum_n f(x1 - x_n)), for a tabulated gap weight f.
+
+    The n = 1 term f(0) is included; pass a table with f(0) = 0 for the
+    gap-only variant.  Every configuration must be faithful at least as deep
+    as the support of f.
+    """
+    vals = np.array([mpgfl_term(config, fx, fy) for config in ensemble])
     value = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
     return FunctionalEstimate(value, se)

@@ -158,11 +158,3 @@ def test_rem_gap_ranks_uncorrelated():
         g2[r] = config.positions[1] - config.positions[2]
     corr = np.corrcoef(g1, g2)[0, 1]
     assert abs(corr) < 4.0 / math.sqrt(reps)
-
-
-def test_positions_csv_round_trip(tmp_path):
-    config = cf.sample_rem(1.0, 0.0, 50, (3, 3))
-    path = tmp_path / "config.csv"
-    cf.write_positions_csv(config, str(path))
-    back = cf.read_positions_csv(str(path))
-    np.testing.assert_array_equal(back.positions, config.positions)

@@ -182,13 +182,3 @@ def test_two_particle_spreading(std_gaussian):
                 hits += 1
         exceed[tau] = hits / reps
     assert exceed[1] < exceed[10] < exceed[100]
-
-
-def test_trace_csv(tmp_path, std_gaussian):
-    config = cf.sample_rem(1.0, 0.0, 50, (95,))
-    trace = dy.evolve_many(config, std_gaussian, 5, (96,))
-    path = tmp_path / "trace.csv"
-    dy.write_trace_csv(trace, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,leader_position,displacement,dropped_count"
-    assert len(lines) == 6

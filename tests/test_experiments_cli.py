@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,9 @@ def test_write_report_concurrent_writers(tmp_path):
     ("gaps", {"threads": "many"}),
     ("contraction", {"corpus": "x"}),
     ("gaps", {"ensemble": 2}),  # passes the schema, fails inside the run
+    # a battery function reaching deeper than the replicas' windows
+    ("rem-stationarity", {"ensemble": 20, "depth": 10, "k_max": 1,
+                          "battery": [{"x": [0.0, 50.0, 100.0], "y": [0.0, 1.0, 0.0]}]}),
 ])
 def test_cli_bad_config_is_usage_error(tmp_path, capsys, experiment, override):
     data = {"experiment": experiment, "seed": 3}
@@ -172,6 +176,30 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys, experiment, override):
     err = capsys.readouterr().err
     assert err.startswith("edgerace: ")
     assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("model, parameter", [
+    ({"kind": "gaussian", "variance": "nan"}, "variance"),
+    ({"kind": "gaussian", "variance": "inf"}, "variance"),
+    ({"kind": "gaussian", "variance": 0}, "variance"),
+    ({"kind": "gaussian", "mean": "nan"}, "mean"),
+    ({"kind": "gaussian", "mean": "-inf"}, "mean"),
+    ({"kind": "uniform", "hi": "inf"}, "hi"),
+    ({"kind": "uniform", "lo": "nan"}, "lo"),
+    ({"kind": "uniform", "lo": 2.0, "hi": 1.0}, "lo < hi"),
+])
+def test_cli_model_parameters_are_range_checked(tmp_path, capsys, model, parameter):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"experiment": "velocity", "seed": 3, "model": model}))
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the test
+        assert cli.main(["run", str(config), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("edgerace: bad model specification: ")
+    assert parameter in err
+    assert err.count("\n") == 1
     assert not out_dir.exists()
 
 

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from edgerace import increments as inc
@@ -274,3 +278,85 @@ def test_model_from_dict_round_trip():
     assert u.params == (-1.0, 1.0)
     with pytest.raises(ValueError):
         inc.model_from_dict({"kind": "cauchy"})
+
+
+# ---------------------------------------------------------------------------
+# properties of the folded (scalar or array) cumulant, Legendre and tail layer
+
+PROPERTY_MODELS = (inc.gaussian(0.0, 1.0), inc.gaussian(0.5, 0.25), inc.gaussian(-1.0, 4.0),
+                   inc.uniform(0.0, 1.0), inc.uniform(-1.0, 2.0))
+
+
+def assert_bitwise(ours, reference):
+    ours, reference = np.asarray(ours, dtype=float), np.asarray(reference, dtype=float)
+    assert ours.shape == reference.shape
+    assert ours.tobytes() == reference.tobytes()
+
+
+def draw_array(data, lo, hi, *special):
+    values = hst.one_of(hst.sampled_from((lo, *special)), hst.floats(lo, hi))
+    return data.draw(arrays(np.float64, hst.integers(1, 5), elements=values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_cumulant_array_equals_scalar_calls(data):
+    model = data.draw(hst.sampled_from(PROPERTY_MODELS))
+    lams = draw_array(data, model.lambda_lo, model.lambda_hi, 0.0, model.lambda_hi)
+    got = inc.cumulant(model, lams)
+    for field in inc.Cumulant._fields:
+        one_by_one = [getattr(inc.cumulant(model, float(lam)), field) for lam in lams]
+        assert all(type(v) is float for v in one_by_one)
+        assert_bitwise(getattr(got, field), one_by_one)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.data())
+def test_legendre_array_equals_scalar_calls(data):
+    model = data.draw(hst.sampled_from(PROPERTY_MODELS))
+    q_top = inc.cumulant(model, model.lambda_hi).mean
+    qs = draw_array(data, model.mean, np.nextafter(q_top, -np.inf))
+    got = inc.legendre(model, qs)
+    for field in inc.Legendre._fields:
+        one_by_one = [getattr(inc.legendre(model, float(q)), field) for q in qs]
+        assert_bitwise(getattr(got, field), one_by_one)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.data())
+def test_tail_curve_array_equals_scalar_calls(data):
+    model = data.draw(hst.sampled_from(PROPERTY_MODELS))
+    tau = data.draw(hst.integers(1, 60))
+    sd = math.sqrt(tau * model.variance)
+    ys = draw_array(data, tau * model.mean - 8.0 * sd, tau * model.mean + 12.0 * sd)
+    curve = inc.tail_curve(model, tau)
+    assert_bitwise(curve(ys), [curve(float(y)) for y in ys])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_legendre_inverts_the_tilted_mean(data):
+    model = data.draw(hst.sampled_from(PROPERTY_MODELS))
+    eta = data.draw(hst.floats(0.0, 0.9 * model.lambda_hi))
+    got = inc.legendre(model, inc.cumulant(model, eta).mean).eta
+    assert got == pytest.approx(eta, abs=1e-8)
+
+
+def tabulated_gaussian(m, v):
+    g = inc.gaussian(m, v)
+    return m, v, inc.tabulated(g.grid, g.density)
+
+
+TABULATED_GAUSSIANS = (tabulated_gaussian(0.0, 1.0), tabulated_gaussian(0.4, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_chernoff_bound_dominates_the_gaussian_log_tail(data):
+    # a tabulated copy of a gaussian takes the Chernoff path of log_tail_bound
+    m, v, model = data.draw(hst.sampled_from(TABULATED_GAUSSIANS))
+    tau = data.draw(hst.integers(1, 200))
+    per_step = draw_array(data, m - 3.0 * math.sqrt(v), m + 8.0 * math.sqrt(v))
+    t = tau * per_step
+    exact = log_ndtr(-((t - tau * m) / math.sqrt(tau * v)))
+    assert np.all(inc.log_tail_bound(model, tau, t) >= exact)

@@ -67,3 +67,10 @@ def test_matches_scipy_on_edge_cases(a):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         check_axes(a)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False, width=64))
+def test_fmt17_round_trips_every_finite_float(x):
+    text = numerics.fmt17(x)
+    assert float(text) == x
+    assert np.signbit(float(text)) == np.signbit(x)

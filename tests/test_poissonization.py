@@ -216,12 +216,3 @@ def test_tail_curve_blend_uniform_sane():
     for y in (9.0, 10.0):
         mc = float((sums >= y).mean())
         assert curve(np.array([y]))[0] == pytest.approx(mc, rel=0.15)
-
-
-def test_law_csv(tmp_path, std_gaussian, rem_config):
-    exact, _ = pz.leader_laws(rem_config, std_gaussian, 4)
-    path = tmp_path / "law.csv"
-    pz.write_law_csv(exact, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "position,cdf"
-    assert len(lines) == exact.grid.size + 1
