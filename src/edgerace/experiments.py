@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import configurations as cf
 from . import dynamics as dy
@@ -303,7 +303,7 @@ def _run_backward_tilt(spec: ExperimentSpec) -> ExperimentReport:
     certificate = max(c for _, c in results if not math.isnan(c))
     if model.kind == "gaussian":
         m, v = tilted.params
-        reference = lambda h: norm.cdf((np.asarray(h) - m) / math.sqrt(v))
+        reference = lambda h: ndtr((np.asarray(h) - m) / math.sqrt(v))
     else:
         reference = lambda h: 1.0 - np.asarray(inc.step_tail(tilted, np.asarray(h)))
     res = st.ks_distance(sample, reference)

@@ -9,6 +9,11 @@ convention at the origin coincide.
 Convolving the intensity with an increment density multiplies atom weights by
 e^{S(u)} with S(u) = Lambda(u) - z u, the normalizing z re-solved each time.
 This is the engine behind the steepness order and the contraction checks.
+
+Level crossings of transform-backed intensities evaluate (level, atom) arrays
+in row blocks of at most `numerics.BLOCK_CELLS` cells, so their memory stays
+flat in the number of levels and atoms; every level is solved on its own row,
+so the result does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import increments as inc
-from .numerics import adaptive_gauss, logsumexp, monotone_root
+from .numerics import adaptive_gauss, logsumexp, monotone_root, row_blocks
 from .streams import StreamKey, generator
 
 NORMALIZE_TOL = 1e-12
@@ -29,6 +34,10 @@ ATOM_MASS_MIN = 0.0
 QUAD_TOL = 1e-10        # absolute quadrature target for the functionals
 TAIL_BUDGET = 1e-13     # certified remainder outside the quadrature range
 STEEPER_SLACK = 1e-9
+NEWTON_WORK = 1_000_000  # level x atom cells above which crossings use Newton
+_NEWTON_SEEDS = 128      # points of the log-transform sweep that seeds Newton
+_NEWTON_MAX_ITER = 50
+_NEWTON_XTOL = 1e-14     # relative step at which a Newton block has converged
 
 
 @dataclass(frozen=True)
@@ -217,7 +226,12 @@ class TailIntensity:
         return out if np.ndim(x) else float(out[0])
 
     def inverse(self, t: np.ndarray | float) -> np.ndarray | float:
-        """Level crossing F^{-1}(t) = inf{x : F(x) <= t}."""
+        """Level crossing F^{-1}(t) = inf{x : F(x) <= t}.
+
+        Transform-backed intensities with several atoms bracket every level
+        from the extreme single terms and bisect 90 times; above NEWTON_WORK
+        level x atom cells they refine the bracket by safeguarded Newton.
+        """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(ts <= 0):
             raise ValueError("levels must be positive")
@@ -227,27 +241,13 @@ class TailIntensity:
                 out = self.offset - np.log(ts / rho.w[0]) / rho.u[0]
             else:
                 logt = np.log(ts)
-                lw = rho.log_w
-                # bracket from the extreme atoms: each single term bounds R below
-                cand = (lw[None, :] - logt[:, None]) / rho.u[None, :]
-                lo = cand.max(axis=1)
-                hi = lo + 1.0
-                # expand hi until R(hi) < t everywhere
-                for _ in range(200):
-                    vals = log_transform(rho, hi)
-                    mask = vals >= logt
-                    if not np.any(mask):
-                        break
-                    hi = np.where(mask, hi + (hi - lo), hi)
-                if rho.n_atoms * ts.size > 1_000_000:
-                    out = self._inverse_newton(logt, lo, hi) + self.offset
-                else:
-                    for _ in range(90):
-                        mid = 0.5 * (lo + hi)
-                        above = log_transform(rho, mid) > logt
-                        lo = np.where(above, mid, lo)
-                        hi = np.where(above, hi, mid)
-                    out = 0.5 * (lo + hi) + self.offset
+                lo = np.empty_like(logt)
+                hi = np.empty_like(logt)
+                for rows in row_blocks(logt.size, rho.n_atoms):
+                    lo[rows], hi[rows] = self._bracket(logt[rows])
+                newton = rho.n_atoms * ts.size > NEWTON_WORK
+                solve = self._inverse_newton if newton else self._bisect
+                out = solve(logt, lo, hi) + self.offset
         else:
             logf = np.log(self.fs)[::-1]
             grid = self.xs[::-1]
@@ -261,29 +261,63 @@ class TailIntensity:
             out[above] = grid[-1] + slope_hi * (logt[above] - logf[-1])
         return out if np.ndim(t) else float(out[0])
 
-    def _inverse_newton(self, logt: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Level crossings for many-atom transforms: one dense sweep of the
-        log transform seeds a safeguarded Newton iteration (the log transform
-        is convex and strictly decreasing, so the iteration is monotone)."""
+    def _bracket(self, logt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """[lo, hi] with log R(lo) >= logt > log R(hi), level by level."""
         rho = self.rho
-        grid = np.linspace(float(lo.min()) - 1e-9, float(hi.max()) + 1e-9, 4096)
-        block = max(1, 2_000_000 // rho.n_atoms)
-        logf = np.concatenate([np.asarray(log_transform(rho, grid[i:i + block]))
-                               for i in range(0, grid.size, block)])
+        # each single term bounds R below
+        lo = ((rho.log_w[None, :] - logt[:, None]) / rho.u[None, :]).max(axis=1)
+        hi = lo + 1.0
+        # double hi - lo on the levels not yet bracketed, evaluating only those
+        pending = np.arange(logt.size)
+        for _ in range(200):
+            pending = pending[log_transform(rho, hi[pending]) >= logt[pending]]
+            if pending.size == 0:
+                break
+            hi[pending] += hi[pending] - lo[pending]
+        return lo, hi
+
+    def _bisect(self, logt: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Level crossings by 90 bisection rounds on each bracket."""
+        out = np.empty_like(logt)
+        for rows in row_blocks(logt.size, self.rho.n_atoms):
+            lo_b, hi_b = lo[rows], hi[rows]
+            for _ in range(90):
+                mid = 0.5 * (lo_b + hi_b)
+                above = log_transform(self.rho, mid) > logt[rows]
+                lo_b = np.where(above, mid, lo_b)
+                hi_b = np.where(above, hi_b, mid)
+            out[rows] = 0.5 * (lo_b + hi_b)
+        return out
+
+    def _inverse_newton(self, logt: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Level crossings for many-atom transforms: a coarse sweep of the log
+        transform seeds a safeguarded Newton iteration on log R, run until its
+        steps stall (the log transform is convex and strictly decreasing, so
+        the iteration is monotone)."""
+        rho = self.rho
+        grid = np.linspace(float(lo.min()) - 1e-9, float(hi.max()) + 1e-9, _NEWTON_SEEDS)
+        logf = np.empty(grid.size)
+        for rows in row_blocks(grid.size, rho.n_atoms):
+            logf[rows] = log_transform(rho, grid[rows])
         x = np.interp(-logt, -logf, grid)
         out = np.empty_like(x)
-        for i in range(0, x.size, block):
-            xi = x[i:i + block]
-            ti = logt[i:i + block]
-            for _ in range(6):
+        for rows in row_blocks(x.size, rho.n_atoms):
+            xi = x[rows]
+            ti = logt[rows]
+            for _ in range(_NEWTON_MAX_ITER):
                 with np.errstate(over="ignore"):
                     terms = rho.w[None, :] * np.exp(-np.outer(xi, rho.u))
                 f = terms.sum(axis=1)
-                df = -(terms * rho.u[None, :]).sum(axis=1)
-                xi = np.clip(xi - (np.log(f) - ti) * f / df, lo[i:i + block], hi[i:i + block])
+                terms *= rho.u[None, :]
+                df = -terms.sum(axis=1)
+                new = np.clip(xi - (np.log(f) - ti) * f / df, lo[rows], hi[rows])
+                stalled = np.all(np.abs(new - xi) <= _NEWTON_XTOL * (1.0 + np.abs(xi)))
+                xi = new
+                if stalled:
+                    break
             if np.abs(np.asarray(log_transform(rho, xi)) - ti).max() > 1e-9:
                 raise ArithmeticError("level-crossing refinement did not converge")
-            out[i:i + block] = xi
+            out[rows] = xi
         return out
 
     def normalized(self) -> "TailIntensity":

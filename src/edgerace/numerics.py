@@ -5,17 +5,31 @@ returns results bit-for-bit identical to `scipy.special.logsumexp` (scipy 1.17's
 arithmetic, step by step).  It exists because scipy's per-call array-API
 dispatch costs several times the arithmetic itself on the 2-6 element arrays
 that the Laplace transforms reduce.
+
+`row_blocks` cuts a (rows x row_len) array evaluation into row slices of at
+most `BLOCK_CELLS` cells (1 MB of float64, so a block and its temporaries stay
+in cache).  Callers that reduce each row on its own get the same bits for any
+block size.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.optimize import brentq
 
 _BRENTQ_RTOL = 8.9e-16  # slightly above the 4*eps minimum scipy accepts
+BLOCK_CELLS = 1 << 17   # cells per row block; a whole row when a row is longer
+
+
+def row_blocks(rows: int, row_len: int) -> Iterator[slice]:
+    """Consecutive row slices covering range(rows), each of at most
+    BLOCK_CELLS // row_len rows and at least one."""
+    step = max(1, BLOCK_CELLS // max(row_len, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
 
 
 @lru_cache(maxsize=None)

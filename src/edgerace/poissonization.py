@@ -8,12 +8,18 @@ predicts the front; the exact leader law (product over particles) is compared
 with the Poisson surrogate exp(-expected count), and the expected-count tail
 is converted into atoms located at the tilt of each particle's per-step speed
 demand, weighted by its reach probability.
+
+Sums over particles on a grid of levels are taken over (level, particle)
+blocks of at most `numerics.BLOCK_CELLS` cells, written in place into one
+reused buffer, so memory stays flat in the grid length and the configuration
+size.  Every level's sum is that of its own row, so the results are the same
+bits for any block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -21,9 +27,8 @@ from . import increments as inc
 from .configurations import Configuration
 from .increments import tail_curve
 from .laplace import LaplaceMeasure
+from .numerics import row_blocks
 from .streams import StreamKey
-
-_CHUNK = 256  # grid rows processed per block when summing over particles
 
 
 def expected_count_above(config: Configuration, model: inc.IncrementModel, tau: int,
@@ -52,6 +57,21 @@ def expected_count_above(config: Configuration, model: inc.IncrementModel, tau: 
     return float(np.sum(curve(x - config.positions)))
 
 
+def _tail_blocks(curve: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
+                 positions: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Row slices of xs with the tails curve(x - position), one block at a time.
+
+    The differences go into one buffer reused across blocks; the curve returns
+    a fresh array, which the caller may overwrite.
+    """
+    buf = None
+    for rows in row_blocks(xs.size, positions.size):
+        n = rows.stop - rows.start
+        if buf is None:
+            buf = np.empty((n, positions.size))
+        yield rows, curve(np.subtract(xs[rows, None], positions, out=buf[:n]))
+
+
 def _count_curve(config: Configuration, model: inc.IncrementModel, tau: int,
                  backend: str) -> Callable[[np.ndarray], np.ndarray]:
     curve = tail_curve(model, tau, backend)
@@ -60,9 +80,8 @@ def _count_curve(config: Configuration, model: inc.IncrementModel, tau: int,
     def counts(xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.empty(xs.size)
-        for start in range(0, xs.size, _CHUNK):
-            block = xs[start:start + _CHUNK]
-            out[start:start + _CHUNK] = curve(block[:, None] - positions[None, :]).sum(axis=1)
+        for rows, p in _tail_blocks(curve, xs, positions):
+            out[rows] = p.sum(axis=1)
         return out
 
     return counts
@@ -137,14 +156,13 @@ def leader_laws(config: Configuration, model: inc.IncrementModel, tau: int,
     grid = np.asarray(grid, dtype=float)
     log_exact = np.empty(grid.size)
     count = np.empty(grid.size)
-    positions = config.positions
-    for start in range(0, grid.size, _CHUNK):
-        block = grid[start:start + _CHUNK]
-        p = curve(block[:, None] - positions[None, :])
-        p = np.clip(p, 0.0, 1.0)
+    for rows, p in _tail_blocks(curve, grid, config.positions):
+        np.clip(p, 0.0, 1.0, out=p)
+        count[rows] = p.sum(axis=1)
+        np.negative(p, out=p)
         with np.errstate(divide="ignore"):
-            log_exact[start:start + _CHUNK] = np.log1p(-p).sum(axis=1)
-        count[start:start + _CHUNK] = p.sum(axis=1)
+            np.log1p(p, out=p)
+        log_exact[rows] = p.sum(axis=1)
     exact = np.exp(log_exact)
     surrogate = np.exp(-count)
     # the surrogate's low end is floored at e^{-N} for an N-particle window,

@@ -12,6 +12,8 @@ import pytest
 
 from edgerace import experiments as ex
 
+pytestmark = pytest.mark.slow
+
 GAUSSIAN = {"kind": "gaussian", "mean": 0.0, "variance": 1.0}
 UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
 

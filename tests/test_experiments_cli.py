@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -287,3 +289,13 @@ def test_reports_byte_identical_across_thread_counts(tmp_path):
         ex.write_report(report, str(out))
         files[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert files[1] == files[8]
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats takes about a third of a second to import; nothing needs it
+    src = os.path.dirname(os.path.dirname(ex.__file__))
+    code = "import sys, edgerace.cli, edgerace.experiments; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

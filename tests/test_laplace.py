@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.optimize import brentq
 
 from edgerace import increments as inc
 from edgerace import laplace as lp
+from edgerace import numerics
 
 LEVELS = np.geomspace(1e-4, 1e4, 81)
 
@@ -276,6 +280,61 @@ def test_intensity_inverse_round_trip(two_atom):
     for t in (0.05, 0.4, 3.0, 50.0):
         x = f.inverse(t)
         assert f.value(x) == pytest.approx(t, rel=1e-9)
+
+
+def _many_atoms(n: int, seed: int) -> lp.LaplaceMeasure:
+    rng = np.random.default_rng(seed)
+    u = np.sort(rng.uniform(0.05, 4.0, size=n))
+    return lp.LaplaceMeasure(u, np.exp(rng.uniform(-3.0, 3.0, size=n)) / n)
+
+
+def test_intensity_inverse_newton_path():
+    f = lp.intensity_from_measure(_many_atoms(2000, 31), offset=-0.7)
+    ts = np.geomspace(1e-4, 1e4, 700)
+    assert f.rho.n_atoms * ts.size > lp.NEWTON_WORK
+    xs = f.inverse(ts)
+    np.testing.assert_allclose(f.value(xs), ts, rtol=1e-9, atol=0)
+    # one level at a time takes the bisection path
+    assert f.rho.n_atoms < lp.NEWTON_WORK
+    for i in range(0, ts.size, 37):
+        assert xs[i] == pytest.approx(f.inverse(float(ts[i])), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_intensity_inverse_hits_the_level(data):
+    n = data.draw(hst.integers(1, 6))
+    u = data.draw(hst.lists(hst.floats(0.05, 4.0), min_size=n, max_size=n, unique=True))
+    w = data.draw(hst.lists(hst.floats(1e-3, 1e3), min_size=n, max_size=n))
+    offset = data.draw(hst.floats(-5.0, 5.0))
+    ts = np.array(data.draw(hst.lists(hst.floats(1e-6, 1e6), min_size=1, max_size=8)))
+    f = lp.intensity_from_measure(lp.measure(zip(u, w)), offset=offset)
+    np.testing.assert_allclose(f.value(f.inverse(ts)), ts, rtol=1e-10, atol=0)
+
+
+def test_intensity_inverse_bisection_independent_of_blocks(monkeypatch):
+    f = lp.intensity_from_measure(_many_atoms(40, 32), offset=0.4)
+    # wide enough that 31 of the levels need one to three bracket doublings
+    ts = np.geomspace(1e-9, 1e9, 301)
+    assert f.rho.n_atoms * ts.size <= lp.NEWTON_WORK
+    default = f.inverse(ts)
+    for cells in (1, 7 * f.rho.n_atoms, f.rho.n_atoms * ts.size):
+        monkeypatch.setattr(numerics, "BLOCK_CELLS", cells)
+        assert f.inverse(ts).tobytes() == default.tobytes()
+
+
+def test_intensity_inverse_memory_is_flat():
+    # one (level, atom) array of 400 levels on 10^4 atoms takes 32 MB
+    f = lp.intensity_from_measure(_many_atoms(10_000, 33))
+    ts = np.cumsum(np.random.default_rng(34).exponential(size=(200, 2)), axis=1).ravel()
+    f.inverse(ts)
+    tracemalloc.start()
+    try:
+        f.inverse(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_intensity_normalized(two_atom):

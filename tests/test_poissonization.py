@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.stats import norm
 from edgerace import configurations as cf
 from edgerace import increments as inc
 from edgerace import laplace as lp
+from edgerace import numerics
 from edgerace import poissonization as pz
 from edgerace import stats as st
 from edgerace.streams import generator, substream
@@ -216,3 +218,81 @@ def test_tail_curve_blend_uniform_sane():
     for y in (9.0, 10.0):
         mc = float((sums >= y).mean())
         assert curve(np.array([y]))[0] == pytest.approx(mc, rel=0.15)
+
+
+# blocked sums over particles against one full-grid array: (model, particles,
+# rows per block), None keeping the package's block size; the uniform model
+# uses a coarse quadrature grid and few rows, since its curve expands every
+# cell over that grid
+BLOCK_CASES = [("gaussian", 10_000, None), ("gaussian", 700, 5), ("uniform", 40, 3)]
+
+
+def _block_case(kind, particles, rows, monkeypatch):
+    model = inc.gaussian(0.0, 1.0) if kind == "gaussian" else inc.uniform(0.0, 1.0,
+                                                                         grid_points=101)
+    config = cf.sample_rem(1.0, 0.0, 10_000, (708, particles))
+    config = cf.Configuration(config.positions[:particles], config.window_depth)
+    assert config.size == particles
+    if rows is not None:
+        monkeypatch.setattr(numerics, "BLOCK_CELLS", rows * particles)
+    return model, config, numerics.BLOCK_CELLS // particles
+
+
+def _unblocked_tails(config, model, tau, xs):
+    return pz.tail_curve(model, tau)(xs[:, None] - config.positions[None, :])
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_blocked_counts_equal_unblocked(case, monkeypatch):
+    model, config, block = _block_case(*case, monkeypatch)
+    tau = 4
+    z = pz.z_front(config, model, tau)
+    for n in (1, block + 1, 2 * block + 3):
+        xs = np.linspace(z - 3.0, z + 3.0, n)
+        reference = _unblocked_tails(config, model, tau, xs).sum(axis=1)
+        counts = pz._count_curve(config, model, tau, "auto")(xs)
+        assert counts.tobytes() == reference.tobytes()
+        singles = [pz.expected_count_above(config, model, tau, x) for x in xs]
+        assert np.array(singles).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_blocked_leader_laws_equal_unblocked(case, monkeypatch):
+    model, config, block = _block_case(*case, monkeypatch)
+    tau = 4
+    z = pz.z_front(config, model, tau)
+    half = 10.0 * math.sqrt(tau * model.variance)
+    for n in (block + 1, 2 * block + 3, 2001):
+        grid = np.linspace(z - half, z + half, n)
+        p = np.clip(_unblocked_tails(config, model, tau, grid), 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            exact = np.exp(np.log1p(-p).sum(axis=1))
+        surrogate = np.exp(-p.sum(axis=1))
+        got_exact, got_surrogate = pz.leader_laws(config, model, tau, grid=grid)
+        assert got_exact.cdf.tobytes() == exact.tobytes()
+        assert got_surrogate.cdf.tobytes() == surrogate.tobytes()
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_blocked_z_front_equals_unblocked(case, monkeypatch):
+    model, config, _ = _block_case(*case, monkeypatch)
+    blocked = pz.z_front(config, model, 4)
+
+    def unblocked_counts(config, model, tau, backend):
+        return lambda xs: _unblocked_tails(config, model, tau, np.atleast_1d(xs)).sum(axis=1)
+
+    monkeypatch.setattr(pz, "_count_curve", unblocked_counts)
+    assert pz.z_front(config, model, 4) == blocked
+
+
+def test_leader_laws_memory_is_flat(std_gaussian, rem_config):
+    # one full (grid, particle) array would take 2001 * 10^4 * 8 bytes = 160 MB
+    assert rem_config.size >= 10_000
+    pz.leader_laws(rem_config, std_gaussian, 8)
+    tracemalloc.start()
+    try:
+        pz.leader_laws(rem_config, std_gaussian, 8, grid_points=2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
