@@ -44,8 +44,13 @@ def evolve(config: Configuration, model: inc.IncrementModel,
         if h.shape != (n,):
             raise ValueError("injected increments must match the particle count")
     moved = config.positions + h
-    order = np.argsort(-moved, kind="stable")
+    order = np.argsort(-moved)
     ranked = moved[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        # only ties make the default sort's order differ from a stable one's;
+        # equal positions keep their pre-rank order
+        order = np.argsort(-moved, kind="stable")
+        ranked = moved[order]
     if np.isfinite(config.window_depth):
         keep = ranked >= ranked[0] - config.window_depth
     else:

@@ -94,12 +94,6 @@ class IncrementModel:
             return np.inf
         return float(self.grid[-1])
 
-    @property
-    def inf_support(self) -> float:
-        if self.kind == "gaussian":
-            return -np.inf
-        return float(self.grid[0])
-
 
 def _quad_weights(grid: np.ndarray) -> np.ndarray:
     """Composite Simpson weights (trapezoid fallback for even-length grids)."""

@@ -10,10 +10,12 @@ Convolving the intensity with an increment density multiplies atom weights by
 e^{S(u)} with S(u) = Lambda(u) - z u, the normalizing z re-solved each time.
 This is the engine behind the steepness order and the contraction checks.
 
-Level crossings of transform-backed intensities evaluate (level, atom) arrays
-in row blocks of at most `numerics.BLOCK_CELLS` cells, so their memory stays
-flat in the number of levels and atoms; every level is solved on its own row,
-so the result does not depend on the block size.
+Level crossings of transform-backed intensities have one solver: a bracket
+read off the atoms without evaluating the transform, refined by safeguarded
+Newton on log R.  It evaluates (level, atom) arrays in row blocks of at most
+`numerics.BLOCK_CELLS` cells, so its memory stays flat in the number of levels
+and atoms.  Callers that need only a bracket, such as the quadrature range of
+`gap_functional`, take it without solving.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ ATOM_MASS_MIN = 0.0
 QUAD_TOL = 1e-10        # absolute quadrature target for the functionals
 TAIL_BUDGET = 1e-13     # certified remainder outside the quadrature range
 STEEPER_SLACK = 1e-9
-NEWTON_WORK = 1_000_000  # level x atom cells above which crossings use Newton
 _NEWTON_SEEDS = 128      # points of the log-transform sweep that seeds Newton
 _NEWTON_MAX_ITER = 50
 _NEWTON_XTOL = 1e-14     # relative step at which a Newton block has converged
@@ -229,8 +230,8 @@ class TailIntensity:
         """Level crossing F^{-1}(t) = inf{x : F(x) <= t}.
 
         Transform-backed intensities with several atoms bracket every level
-        from the extreme single terms and bisect 90 times; above NEWTON_WORK
-        level x atom cells they refine the bracket by safeguarded Newton.
+        without evaluating the transform (`_bracket`) and refine the bracket by
+        safeguarded Newton on log R (`_inverse_newton`).
         """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(ts <= 0):
@@ -241,13 +242,7 @@ class TailIntensity:
                 out = self.offset - np.log(ts / rho.w[0]) / rho.u[0]
             else:
                 logt = np.log(ts)
-                lo = np.empty_like(logt)
-                hi = np.empty_like(logt)
-                for rows in row_blocks(logt.size, rho.n_atoms):
-                    lo[rows], hi[rows] = self._bracket(logt[rows])
-                newton = rho.n_atoms * ts.size > NEWTON_WORK
-                solve = self._inverse_newton if newton else self._bisect
-                out = solve(logt, lo, hi) + self.offset
+                out = self._inverse_newton(logt, *self._bracket(logt)) + self.offset
         else:
             logf = np.log(self.fs)[::-1]
             grid = self.xs[::-1]
@@ -262,38 +257,31 @@ class TailIntensity:
         return out if np.ndim(t) else float(out[0])
 
     def _bracket(self, logt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """[lo, hi] with log R(lo) >= logt > log R(hi), level by level."""
+        """[lo, hi] with log R(lo) >= logt >= log R(hi), level by level, read off
+        the atoms without evaluating the transform (offset not applied).
+
+        Each single term bounds R below, which gives lo.  Above, R(x) is at
+        most (sum w) e^{-u_min x} for x >= 0 and (sum w) e^{-u_max x} for
+        x <= 0; with a = log(sum w) - logt these put a crossing-free point at
+        a / u_min when a >= 0 and at a / u_max when a < 0.
+        """
         rho = self.rho
-        # each single term bounds R below
-        lo = ((rho.log_w[None, :] - logt[:, None]) / rho.u[None, :]).max(axis=1)
-        hi = lo + 1.0
-        # double hi - lo on the levels not yet bracketed, evaluating only those
-        pending = np.arange(logt.size)
-        for _ in range(200):
-            pending = pending[log_transform(rho, hi[pending]) >= logt[pending]]
-            if pending.size == 0:
-                break
-            hi[pending] += hi[pending] - lo[pending]
+        if rho.u[0] == 0.0:
+            raise ValueError("level crossings need every atom at u > 0: "
+                             "an atom at u = 0 keeps the tail from decaying")
+        lo = np.empty_like(logt)
+        for rows in row_blocks(logt.size, rho.n_atoms):
+            lo[rows] = ((rho.log_w[None, :] - logt[rows, None]) / rho.u[None, :]).max(axis=1)
+        a = np.log(rho.total_mass) - logt
+        hi = np.maximum(lo, np.where(a >= 0, a / rho.u[0], a / rho.u[-1]))
         return lo, hi
 
-    def _bisect(self, logt: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Level crossings by 90 bisection rounds on each bracket."""
-        out = np.empty_like(logt)
-        for rows in row_blocks(logt.size, self.rho.n_atoms):
-            lo_b, hi_b = lo[rows], hi[rows]
-            for _ in range(90):
-                mid = 0.5 * (lo_b + hi_b)
-                above = log_transform(self.rho, mid) > logt[rows]
-                lo_b = np.where(above, mid, lo_b)
-                hi_b = np.where(above, hi_b, mid)
-            out[rows] = 0.5 * (lo_b + hi_b)
-        return out
-
     def _inverse_newton(self, logt: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Level crossings for many-atom transforms: a coarse sweep of the log
-        transform seeds a safeguarded Newton iteration on log R, run until its
-        steps stall (the log transform is convex and strictly decreasing, so
-        the iteration is monotone)."""
+        """Level crossings inside their brackets: a coarse sweep of the log
+        transform seeds a Newton iteration on log R, clipped to the bracket
+        and run block by block until every step in the block stalls (the log
+        transform is convex and strictly decreasing, so after its first step
+        the iteration approaches each crossing from below)."""
         rho = self.rho
         grid = np.linspace(float(lo.min()) - 1e-9, float(hi.max()) + 1e-9, _NEWTON_SEEDS)
         logf = np.empty(grid.size)
@@ -405,10 +393,13 @@ def gap_functional(f: TailIntensity | LaplaceMeasure, u: float, tol: float = 1e-
         return float(np.exp(-f.rho.u[0] * u))
     t_hi = 40.0  # e^{-40} certified remainder past this level
     if f.laplace_backed:
-        # integrate in x: e^{-F(x-u)} (-F'(x)) dx with the analytic derivative
-        x_lo = float(f.inverse(t_hi))
-        x_hi = float(f.inverse(TAIL_BUDGET))
+        # integrate in x: e^{-F(x-u)} (-F'(x)) dx with the analytic derivative;
+        # any x_lo with F >= t_hi and x_hi with F <= TAIL_BUDGET certify the
+        # remainder, and the bracket gives both without solving a crossing
         rho, off = f.rho, f.offset
+        lo, hi = f._bracket(np.log([t_hi, TAIL_BUDGET]))
+        x_lo = float(lo[0]) + off
+        x_hi = float(hi[1]) + off
 
         def integrand(x: np.ndarray) -> np.ndarray:
             dens = (rho.w * rho.u)[None, :] * np.exp(-np.outer(x - off, rho.u))

@@ -25,6 +25,28 @@ def test_evolve_with_injected_increments(std_gaussian):
     assert record.dropped == 0
 
 
+def test_evolve_ties_keep_pre_rank_order(std_gaussian):
+    # 300 particles land on six integers (exact arithmetic): 294 ties, each
+    # listed in pre-rank order
+    config = cf.from_points(-np.arange(300.0), window_depth=np.inf)
+    landing = (np.arange(300) * 7) % 6
+    record = dy.evolve(config, std_gaussian, increments=landing - config.positions)
+    perm = record.permutation
+    np.testing.assert_array_equal(record.post.positions, np.sort(landing)[::-1])
+    same = landing[perm][1:] == landing[perm][:-1]
+    assert same.sum() == 294 and np.all(perm[1:][same] > perm[:-1][same])
+
+
+@pytest.mark.parametrize("n", [2, 17, 3000])
+def test_evolve_ranks_like_a_stable_sort(std_gaussian, n):
+    base = cf.sample_rem(1.0, 0.0, n, (13, n))
+    config = cf.Configuration(base.positions, np.inf)
+    for r in range(5):
+        record = dy.evolve(config, std_gaussian, stream=(14, n, r))
+        moved = config.positions + record.increments
+        np.testing.assert_array_equal(record.permutation, np.argsort(-moved, kind="stable"))
+
+
 def test_evolve_single_particle(std_gaussian):
     config = cf.from_points([3.0], window_depth=1.0)
     record = dy.evolve(config, std_gaussian, stream=(42,))

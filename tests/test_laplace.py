@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from edgerace import increments as inc
@@ -165,6 +166,21 @@ def test_gap_functional_translation_invariance(two_atom):
     assert a == pytest.approx(b, abs=1e-10)
 
 
+def test_gap_functional_equals_integral_over_exact_crossings(std_gaussian, corpus):
+    # the quadrature runs over a bracket that contains [F^-1(40), F^-1(1e-13)];
+    # what lies between the two ranges is below e^-40 and 1e-13
+    for rho in corpus[:10] + [lp.convolve_g(rho, std_gaussian) for rho in corpus[10:15]]:
+        f = lp.intensity_from_measure(rho, offset=0.6)
+        x_lo, x_hi = f.inverse(np.array([40.0, lp.TAIL_BUDGET]))
+        for u in (0.5, 3.0):
+            def integrand(x: float) -> float:
+                dens = float(np.dot(rho.w * rho.u, np.exp(-(x - 0.6) * rho.u)))
+                return math.exp(-f.value(x - u)) * dens
+
+            exact = quad(integrand, x_lo, x_hi, epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+            assert lp.gap_functional(f, u) == pytest.approx(exact, abs=1e-12)
+
+
 def test_gap_functional_empirical_matches_laplace():
     xs = np.linspace(-6.0, 14.0, 400)
     emp = lp.intensity_table(xs, np.exp(-xs))
@@ -291,11 +307,9 @@ def _many_atoms(n: int, seed: int) -> lp.LaplaceMeasure:
 def test_intensity_inverse_newton_path():
     f = lp.intensity_from_measure(_many_atoms(2000, 31), offset=-0.7)
     ts = np.geomspace(1e-4, 1e4, 700)
-    assert f.rho.n_atoms * ts.size > lp.NEWTON_WORK
     xs = f.inverse(ts)
     np.testing.assert_allclose(f.value(xs), ts, rtol=1e-9, atol=0)
-    # one level at a time takes the bisection path
-    assert f.rho.n_atoms < lp.NEWTON_WORK
+    # a one-level call seeds Newton from its own bracket and lands on the same crossing
     for i in range(0, ts.size, 37):
         assert xs[i] == pytest.approx(f.inverse(float(ts[i])), rel=1e-12)
 
@@ -312,15 +326,42 @@ def test_intensity_inverse_hits_the_level(data):
     np.testing.assert_allclose(f.value(f.inverse(ts)), ts, rtol=1e-10, atol=0)
 
 
-def test_intensity_inverse_bisection_independent_of_blocks(monkeypatch):
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_intensity_bracket_holds_the_crossing(data):
+    n = data.draw(hst.integers(2, 6))
+    u = data.draw(hst.lists(hst.floats(0.05, 4.0), min_size=n, max_size=n, unique=True))
+    w = data.draw(hst.lists(hst.floats(1e-3, 1e3), min_size=n, max_size=n))
+    rho = lp.measure(zip(u, w))
+    # levels below the total mass R(0) cross at x > 0, levels above it at x < 0
+    below = data.draw(hst.lists(hst.floats(1e-6, 1.0, exclude_max=True), min_size=1, max_size=4))
+    above = data.draw(hst.lists(hst.floats(1.0, 1e6, exclude_min=True), min_size=1, max_size=4))
+    logt = np.log(rho.total_mass * np.array(below + above))
+    lo, hi = lp.intensity_from_measure(rho)._bracket(logt)
+    assert np.all(lo <= hi)
+    # lo and hi come back through log w - x u, so rounding scales with the logs
+    ulps = 4 * np.finfo(float).eps * (1.0 + np.abs(logt) + np.abs(rho.log_w).max())
+    assert np.all(lp.log_transform(rho, lo) >= logt - ulps)
+    assert np.all(lp.log_transform(rho, hi) <= logt + ulps)
+
+
+def test_intensity_bracket_rejects_an_atom_at_zero():
+    f = lp.intensity_from_measure(lp.measure([(0.0, 0.3), (1.0, 0.7)]))
+    with pytest.raises(ValueError, match="u > 0"):
+        f.inverse(0.5)
+    with pytest.raises(ValueError, match="u > 0"):
+        lp.gap_functional(f, 1.0)
+
+
+def test_intensity_inverse_independent_of_blocks(monkeypatch):
     f = lp.intensity_from_measure(_many_atoms(40, 32), offset=0.4)
-    # wide enough that 31 of the levels need one to three bracket doublings
     ts = np.geomspace(1e-9, 1e9, 301)
-    assert f.rho.n_atoms * ts.size <= lp.NEWTON_WORK
     default = f.inverse(ts)
+    # Newton stops block by block, so a level may take one more step in
+    # another block size and move by a rounding error, never more
     for cells in (1, 7 * f.rho.n_atoms, f.rho.n_atoms * ts.size):
         monkeypatch.setattr(numerics, "BLOCK_CELLS", cells)
-        assert f.inverse(ts).tobytes() == default.tobytes()
+        np.testing.assert_allclose(f.inverse(ts), default, rtol=1e-14, atol=0)
 
 
 def test_intensity_inverse_memory_is_flat():
