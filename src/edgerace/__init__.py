@@ -11,8 +11,8 @@ from .increments import (Cumulant, IncrementModel, Legendre, TailProbability,
                          tail_query, tail_ratio, tilt, uniform)
 from .laplace import (LaplaceMeasure, TailIntensity, convolve_g, expected_gap,
                       exponential_intensity, gap_functional, intensity_from_measure,
-                      intensity_table, level_functional, measure, normalize,
-                      normalizing_shift, point_mass, shift, steeper, transform)
+                      level_functional, measure, normalize, normalizing_shift,
+                      point_mass, shift, steeper, transform)
 from .poissonization import (Extraction, LeaderLaw, expected_count_above,
                              extract_laplace, law_distance, leader_laws, z_front)
 from .stats import (EmpiricalCdf, KsResult, empirical_gap_cdf, ks_distance,

@@ -37,6 +37,8 @@ DESCRIPTIONS = {
     "gaps": "ranked gap means and laws against closed forms and the gap integral",
 }
 
+BACKENDS = ("auto", "gaussian-exact", "br-approx")  # values of the `backend` key
+
 _DEFAULTS: dict[str, dict] = {
     "velocity": {"ensemble": 200, "depth": 10_000, "taus": [200],
                  "tolerances": {"velocity_band": 0.05}},
@@ -138,6 +140,9 @@ def parse_spec(data: dict) -> ExperimentSpec:
     s = _number("s", data.get("s", 1.0), 0.0)
     if s <= 0:
         raise SpecError(f"s must be positive, got {s!r}")
+    backend = data.get("backend", "auto")
+    if backend not in BACKENDS:
+        raise SpecError(f"backend must be one of {list(BACKENDS)}, got {backend!r}")
     threads = data.get("threads")
     if threads is not None:
         threads = _number("threads", threads, 1, integer=True)
@@ -160,7 +165,7 @@ def parse_spec(data: dict) -> ExperimentSpec:
     if "alpha" in tolerances and tolerances["alpha"] not in st.KS_COEFF:
         raise SpecError(f"tolerance alpha must be one of {sorted(st.KS_COEFF)}")
     return ExperimentSpec(name=name, seed=seed, model=model, s=s,
-                          backend=str(data.get("backend", "auto")), threads=threads,
+                          backend=backend, threads=threads,
                           out=data.get("out"), params=params, tolerances=dict(tolerances))
 
 

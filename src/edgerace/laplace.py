@@ -10,12 +10,12 @@ Convolving the intensity with an increment density multiplies atom weights by
 e^{S(u)} with S(u) = Lambda(u) - z u, the normalizing z re-solved each time.
 This is the engine behind the steepness order and the contraction checks.
 
-Level crossings of transform-backed intensities have one solver: a bracket
-read off the atoms without evaluating the transform, refined by safeguarded
-Newton on log R.  It evaluates (level, atom) arrays in row blocks of at most
-`numerics.BLOCK_CELLS` cells, so its memory stays flat in the number of levels
-and atoms.  Callers that need only a bracket, such as the quadrature range of
-`gap_functional`, take it without solving.
+A tail intensity F(x) = R(x - offset) is a measure plus an offset.  Its level
+crossings have one solver, which also finds the normalizing shift: a bracket
+read off the atoms, refined by safeguarded Newton on log R in row blocks of at
+most `numerics.BLOCK_CELLS` cells, so its memory stays flat in the number of
+levels and atoms.  Callers that need only a bracket, such as the quadrature
+range of `gap_functional`, take it as is.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .numerics import adaptive_gauss, logsumexp, monotone_root, row_blocks
 from .streams import StreamKey, generator
 
 NORMALIZE_TOL = 1e-12
-ATOM_MASS_MIN = 0.0
 QUAD_TOL = 1e-10        # absolute quadrature target for the functionals
 TAIL_BUDGET = 1e-13     # certified remainder outside the quadrature range
 STEEPER_SLACK = 1e-9
@@ -110,22 +109,20 @@ def shift(rho: LaplaceMeasure, alpha: float) -> LaplaceMeasure:
 
 def normalizing_shift(rho: LaplaceMeasure) -> float:
     """Shift alpha bringing total mass to one; raises for degenerate measures."""
-    mass_at_zero = float(rho.w[rho.u == 0.0].sum())
-    if np.all(rho.u == 0.0):
+    at_zero = rho.u == 0.0
+    mass_at_zero = float(rho.w[at_zero].sum())
+    if np.all(at_zero):
         if abs(rho.total_mass - 1.0) <= NORMALIZE_TOL:
             return 0.0
         raise ValueError("all atoms at u=0: no shift can change the total mass")
     if mass_at_zero >= 1.0:
         raise ValueError("mass at u=0 is >= 1; the shifted total mass cannot reach 1")
-    alpha = monotone_root(lambda a: log_transform(rho, a), -1.0, 1.0)
-    # Newton polish on log R(alpha) = 0 using the analytic derivative
-    for _ in range(3):
-        r = transform(rho, alpha)
-        dr = -float(np.dot(rho.w * rho.u, np.exp(-alpha * rho.u)))
-        alpha -= (r - 1.0) / dr
+    # an atom at u = 0 keeps its weight under every shift; the others must carry the rest
+    moving = LaplaceMeasure(rho.u[~at_zero], rho.w[~at_zero])
+    alpha = float(TailIntensity(moving).inverse(1.0 - mass_at_zero))
     if abs(transform(rho, alpha) - 1.0) > NORMALIZE_TOL:
         raise ArithmeticError("normalizing shift did not reach unit mass within 1e-12")
-    return float(alpha)
+    return alpha
 
 
 def normalize(rho: LaplaceMeasure) -> LaplaceMeasure:
@@ -170,90 +167,31 @@ def convolve_g(rho: LaplaceMeasure, model: inc.IncrementModel) -> LaplaceMeasure
 
 @dataclass(frozen=True)
 class TailIntensity:
-    """Decreasing positive intensity tail, transform-backed or tabulated.
+    """Decreasing positive intensity tail F(x) = R_rho(x - offset); `inverse`
+    also solves the shifts of `normalized` and `normalizing_shift`."""
 
-    Transform-backed: F(x) = R_rho(x - offset).  Empirical: log-linear
-    interpolation through strictly decreasing samples (x_i, F_i), with
-    log-linear extrapolation from the edge slopes.
-    """
-
-    rho: LaplaceMeasure | None = None
+    rho: LaplaceMeasure
     offset: float = 0.0
-    xs: np.ndarray | None = None
-    fs: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.rho is None) == (self.xs is None):
-            raise ValueError("exactly one of rho / xs must be given")
-        if self.xs is not None:
-            xs = np.asarray(self.xs, dtype=float)
-            fs = np.asarray(self.fs, dtype=float)
-            if xs.ndim != 1 or xs.shape != fs.shape or xs.size < 2:
-                raise ValueError("empirical intensity needs matching 1-d arrays, length >= 2")
-            if np.any(np.diff(xs) <= 0):
-                raise ValueError("empirical grid must be strictly increasing")
-            if np.any(fs <= 0) or np.any(np.diff(fs) >= 0):
-                raise ValueError("empirical values must be positive and strictly decreasing")
-            xs.setflags(write=False)
-            fs.setflags(write=False)
-            object.__setattr__(self, "xs", xs)
-            object.__setattr__(self, "fs", fs)
-
-    @property
-    def laplace_backed(self) -> bool:
-        return self.rho is not None
-
-    @property
-    def min_rate(self) -> float:
-        """Slowest exponential decay rate toward +inf."""
-        if self.laplace_backed:
-            return float(self.rho.u[0])
-        logf = np.log(self.fs)
-        return float((logf[-2] - logf[-1]) / (self.xs[-1] - self.xs[-2]))
 
     def value(self, x: np.ndarray | float) -> np.ndarray | float:
-        if self.laplace_backed:
-            return transform(self.rho, np.asarray(x, dtype=float) - self.offset)
-        xs_in = np.atleast_1d(np.asarray(x, dtype=float))
-        logf = np.log(self.fs)
-        slope_lo = (logf[1] - logf[0]) / (self.xs[1] - self.xs[0])
-        slope_hi = (logf[-1] - logf[-2]) / (self.xs[-1] - self.xs[-2])
-        out = np.interp(xs_in, self.xs, logf)
-        below = xs_in < self.xs[0]
-        above = xs_in > self.xs[-1]
-        out[below] = logf[0] + slope_lo * (xs_in[below] - self.xs[0])
-        out[above] = logf[-1] + slope_hi * (xs_in[above] - self.xs[-1])
-        out = np.exp(out)
-        return out if np.ndim(x) else float(out[0])
+        return transform(self.rho, np.asarray(x, dtype=float) - self.offset)
 
     def inverse(self, t: np.ndarray | float) -> np.ndarray | float:
         """Level crossing F^{-1}(t) = inf{x : F(x) <= t}.
 
-        Transform-backed intensities with several atoms bracket every level
-        without evaluating the transform (`_bracket`) and refine the bracket by
+        One atom has a closed form.  Several atoms bracket every level without
+        evaluating the transform (`_bracket`) and refine the bracket by
         safeguarded Newton on log R (`_inverse_newton`).
         """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(ts <= 0):
             raise ValueError("levels must be positive")
-        if self.laplace_backed:
-            rho = self.rho
-            if rho.n_atoms == 1:
-                out = self.offset - np.log(ts / rho.w[0]) / rho.u[0]
-            else:
-                logt = np.log(ts)
-                out = self._inverse_newton(logt, *self._bracket(logt)) + self.offset
+        rho = self.rho
+        if rho.n_atoms == 1:
+            out = self.offset - np.log(ts / rho.w[0]) / rho.u[0]
         else:
-            logf = np.log(self.fs)[::-1]
-            grid = self.xs[::-1]
             logt = np.log(ts)
-            out = np.interp(logt, logf, grid)
-            slope_lo = (grid[1] - grid[0]) / (logf[1] - logf[0])
-            slope_hi = (grid[-1] - grid[-2]) / (logf[-1] - logf[-2])
-            below = logt < logf[0]
-            above = logt > logf[-1]
-            out[below] = grid[0] + slope_lo * (logt[below] - logf[0])
-            out[above] = grid[-1] + slope_hi * (logt[above] - logf[-1])
+            out = self._inverse_newton(logt, *self._bracket(logt)) + self.offset
         return out if np.ndim(t) else float(out[0])
 
     def _bracket(self, logt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,38 +248,18 @@ class TailIntensity:
 
     def normalized(self) -> "TailIntensity":
         """Shifted so that the value at 0 is 1 (sup convention at level one)."""
-        z = self.normalizing_level_shift()
-        if self.laplace_backed:
-            return TailIntensity(rho=self.rho, offset=self.offset - z)
-        return TailIntensity(xs=self.xs - z, fs=self.fs)
-
-    def normalizing_level_shift(self) -> float:
-        """sup{z : F(z) >= 1}."""
-        if self.laplace_backed:
-            return float(self.inverse(1.0))
-        if self.fs[0] < 1.0 or self.fs[-1] > 1.0:
-            raise ValueError("empirical intensity does not cross level one on its grid")
-        idx = int(np.searchsorted(-self.fs, -1.0, side="right")) - 1
-        if self.fs[idx] == 1.0:
-            while idx + 1 < self.fs.size and self.fs[idx + 1] == 1.0:
-                idx += 1
-            return float(self.xs[idx])
-        return float(self.inverse(1.0))
+        return TailIntensity(self.rho, self.offset - self.inverse(1.0))
 
 
 def intensity_from_measure(rho: LaplaceMeasure, offset: float = 0.0) -> TailIntensity:
-    return TailIntensity(rho=rho, offset=float(offset))
+    return TailIntensity(rho, float(offset))
 
 
 def exponential_intensity(s: float, z: float = 0.0) -> TailIntensity:
     """Pure exponential tail e^{-s (x - z)}."""
     if s <= 0:
         raise ValueError("rate must be positive")
-    return TailIntensity(rho=point_mass(s, 1.0), offset=float(z))
-
-
-def intensity_table(xs: Sequence[float], fs: Sequence[float]) -> TailIntensity:
-    return TailIntensity(xs=np.asarray(xs, dtype=float), fs=np.asarray(fs, dtype=float))
+    return TailIntensity(point_mass(s, 1.0), float(z))
 
 
 def _coerce(f: "TailIntensity | LaplaceMeasure") -> TailIntensity:
@@ -377,45 +295,29 @@ def steeper(g: TailIntensity | LaplaceMeasure, f: TailIntensity | LaplaceMeasure
     return SteeperResult(False, (float(lv[i]), float(lv[j])))
 
 
-def gap_functional(f: TailIntensity | LaplaceMeasure, u: float, tol: float = 1e-8) -> float:
+def gap_functional(f: TailIntensity | LaplaceMeasure, u: float) -> float:
     """Probability that the first gap of the Poisson configuration exceeds u.
 
     Equals the integral of e^{-F(x-u)} against the intensity differential
-    -dF(x); evaluated after the substitution t = F(x) as the integral over
-    t > 0 of e^{-F(F^{-1}(t) - u)}, whose integrand is dominated by e^{-t}.
+    -dF(x), with the analytic derivative.  Any x_lo with F >= 40 and x_hi
+    with F <= TAIL_BUDGET certify the remainder (e^{-40} and TAIL_BUDGET),
+    and the bracket gives both without solving a crossing.
     """
     f = _coerce(f)
     if u < 0:
         raise ValueError("gap threshold must be nonnegative")
     if u == 0.0:
         return 1.0
-    if f.laplace_backed and f.rho.n_atoms == 1:
-        return float(np.exp(-f.rho.u[0] * u))
-    t_hi = 40.0  # e^{-40} certified remainder past this level
-    if f.laplace_backed:
-        # integrate in x: e^{-F(x-u)} (-F'(x)) dx with the analytic derivative;
-        # any x_lo with F >= t_hi and x_hi with F <= TAIL_BUDGET certify the
-        # remainder, and the bracket gives both without solving a crossing
-        rho, off = f.rho, f.offset
-        lo, hi = f._bracket(np.log([t_hi, TAIL_BUDGET]))
-        x_lo = float(lo[0]) + off
-        x_hi = float(hi[1]) + off
+    rho, off = f.rho, f.offset
+    if rho.n_atoms == 1:
+        return float(np.exp(-rho.u[0] * u))
+    lo, hi = f._bracket(np.log([40.0, TAIL_BUDGET]))
 
-        def integrand(x: np.ndarray) -> np.ndarray:
-            dens = (rho.w * rho.u)[None, :] * np.exp(-np.outer(x - off, rho.u))
-            return np.exp(-np.asarray(f.value(x - u))) * dens.sum(axis=1)
+    def integrand(x: np.ndarray) -> np.ndarray:
+        dens = (rho.w * rho.u)[None, :] * np.exp(-np.outer(x - off, rho.u))
+        return np.exp(-np.asarray(f.value(x - u))) * dens.sum(axis=1)
 
-        return adaptive_gauss(integrand, x_lo, x_hi, tol=min(tol, QUAD_TOL))
-    t_top = min(t_hi, float(f.fs[0]))
-    if np.exp(-t_top) > tol:
-        raise ValueError("empirical intensity too shallow to certify the gap integral")
-
-    def integrand_t(t: np.ndarray) -> np.ndarray:
-        return np.exp(-np.asarray(f.value(np.asarray(f.inverse(t)) - u)))
-
-    # table-backed integrands carry interpolation kinks; hold them to the
-    # contract tolerance rather than the analytic one
-    return adaptive_gauss(integrand_t, TAIL_BUDGET, t_top, tol=tol, max_panels=16384)
+    return adaptive_gauss(integrand, float(lo[0]) + off, float(hi[1]) + off, tol=QUAD_TOL)
 
 
 def level_functional(f: TailIntensity | LaplaceMeasure, shape_w: Sequence[float],
@@ -461,7 +363,7 @@ def expected_gap(f: TailIntensity | LaplaceMeasure, n: int, tol: float = 1e-9) -
     f = _coerce(f)
     if n < 1:
         raise ValueError("rank must be a positive integer")
-    rate = f.min_rate
+    rate = float(f.rho.u[0])
     if rate <= 0:
         raise ValueError("intensity does not decay; the gap integral diverges")
     f_hi = n + 40.0 * np.sqrt(n + 1.0) + 40.0
