@@ -6,9 +6,9 @@ from .configurations import (Configuration, count_within, from_points, gaps,
 from .dynamics import (EvolutionRecord, EvolutionTrace, evolve, evolve_many,
                        regularity_count, truncation_bias)
 from .increments import (Cumulant, IncrementModel, Legendre, TailProbability,
-                         TailQuery, TailRatio, cumulant, front_velocity, gaussian,
-                         legendre, sample, step_tail, sum_tail, tabulated, tail_curve,
-                         tail_query, tail_ratio, tilt, uniform)
+                         TailRatio, cumulant, front_velocity, gaussian, legendre, sample,
+                         step_tail, sum_tail, tabulated, tail_curve, tail_ratio, tilt,
+                         uniform)
 from .laplace import (LaplaceMeasure, TailIntensity, convolve_g, expected_gap,
                       exponential_intensity, gap_functional, intensity_from_measure,
                       level_functional, measure, normalize, normalizing_shift,

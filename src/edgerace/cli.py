@@ -25,7 +25,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to the configuration file")
     run_p.add_argument("--out", help="output directory (overrides the config)")
     run_p.add_argument("--seed", type=int, help="seed override")
-    run_p.add_argument("--backend", help="tail backend override")
     sub.add_parser("list", help="list experiment names")
     return parser
 
@@ -48,8 +47,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return USAGE_ERROR
     if args.seed is not None:
         data["seed"] = args.seed
-    if args.backend is not None:
-        data["backend"] = args.backend
     if args.out is not None:
         data["out"] = args.out
     try:

@@ -37,8 +37,6 @@ DESCRIPTIONS = {
     "gaps": "ranked gap means and laws against closed forms and the gap integral",
 }
 
-BACKENDS = ("auto", "gaussian-exact", "br-approx")  # values of the `backend` key
-
 _DEFAULTS: dict[str, dict] = {
     "velocity": {"ensemble": 200, "depth": 10_000, "taus": [200],
                  "tolerances": {"velocity_band": 0.05}},
@@ -69,7 +67,6 @@ class ExperimentSpec:
     seed: int
     model: dict = field(default_factory=lambda: {"kind": "gaussian", "mean": 0.0, "variance": 1.0})
     s: float = 1.0
-    backend: str = "auto"
     threads: int | None = None
     out: str | None = None
     params: dict = field(default_factory=dict)
@@ -140,9 +137,10 @@ def parse_spec(data: dict) -> ExperimentSpec:
     s = _number("s", data.get("s", 1.0), 0.0)
     if s <= 0:
         raise SpecError(f"s must be positive, got {s!r}")
-    backend = data.get("backend", "auto")
-    if backend not in BACKENDS:
-        raise SpecError(f"backend must be one of {list(BACKENDS)}, got {backend!r}")
+    # the model picks its tail formula; the key stays so that configs and
+    # manifests that carry "auto" keep working
+    if data.get("backend", "auto") != "auto":
+        raise SpecError(f"backend must be 'auto', got {data['backend']!r}")
     threads = data.get("threads")
     if threads is not None:
         threads = _number("threads", threads, 1, integer=True)
@@ -164,8 +162,7 @@ def parse_spec(data: dict) -> ExperimentSpec:
         _number(f"tolerance {k}", v, 0.0)
     if "alpha" in tolerances and tolerances["alpha"] not in st.KS_COEFF:
         raise SpecError(f"tolerance alpha must be one of {sorted(st.KS_COEFF)}")
-    return ExperimentSpec(name=name, seed=seed, model=model, s=s,
-                          backend=backend, threads=threads,
+    return ExperimentSpec(name=name, seed=seed, model=model, s=s, threads=threads,
                           out=data.get("out"), params=params, tolerances=dict(tolerances))
 
 
@@ -338,7 +335,7 @@ def _run_poissonize(spec: ExperimentSpec) -> ExperimentReport:
         config = cf.sample_rem(spec.s, 0.0, depth, substream(key, i, 0))
         out = []
         for tau in taus:
-            exact, surrogate = pz.leader_laws(config, model, tau, backend=spec.backend)
+            exact, surrogate = pz.leader_laws(config, model, tau)
             out.append(pz.law_distance(exact, surrogate))
         return out
 
@@ -348,7 +345,7 @@ def _run_poissonize(spec: ExperimentSpec) -> ExperimentReport:
 
     base = cf.sample_rem(spec.s, 0.0, depth, substream(key, 10 ** 6, 0))
     omega = cf.Configuration(base.positions, np.inf)
-    ext = pz.extract_laplace(omega, model, rt_tau, backend=spec.backend)
+    ext = pz.extract_laplace(omega, model, rt_tau)
     intensity = lp.intensity_from_measure(ext.measure, offset=ext.z)
 
     rng = generator(substream(key, 10 ** 6, 1))
@@ -585,7 +582,7 @@ def write_report(report: ExperimentReport, outdir: str) -> list[str]:
         "seed": report.spec.seed,
         "model": report.spec.model,
         "s": report.spec.s,
-        "backend": report.spec.backend,
+        "backend": "auto",  # the only value the key takes; recorded manifests carry it
         "params": report.spec.params,
         "tolerances": report.tolerances_used,
         "metrics": {m.name: bool(m.passed) for m in report.metrics},

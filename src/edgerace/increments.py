@@ -7,10 +7,12 @@ Legendre transform (each one vectorised function that also takes scalars),
 exponential tilting and i.i.d. sampling.
 
 This is the only module that knows how the tau-step tail P(S_tau >= y) is
-computed: strict single-point queries (`tail_query`/`sum_tail`, three
-interchangeable backends), full-line curves (`tail_curve`) and the Chernoff
-upper bound on the log-tail (`log_tail_bound`).  The Bahadur-Rao sharp-tail
-terms behind all three are built in one place, `_sharp_terms`.
+computed: strict single-point queries (`sum_tail`, one call with three
+interchangeable backends), full-line curves (`tail_curve`, whose formula the
+model's kind picks: closed form for the gaussian, a sharp-tail blend
+otherwise) and the Chernoff upper bound on the log-tail (`log_tail_bound`).
+The Bahadur-Rao sharp-tail terms behind all three are built in one place,
+`_sharp_terms`.
 
 Every operation is pure; sampling takes an explicit stream key.
 """
@@ -360,23 +362,7 @@ def step_tail(model: IncrementModel, t: np.ndarray | float) -> np.ndarray | floa
     return out if np.ndim(t) else float(out)
 
 
-BACKENDS = ("gaussian-exact", "br-approx", "mc-importance")
-
-
-class TailQuery(NamedTuple):
-    """Resolved tau-step tail query P(S_tau >= y)."""
-
-    tau: int
-    y: float
-    backend: str
-    q: float          # y / tau
-    eta: float
-    rate: float       # Legendre transform at q
-    curvature: float  # tilted variance at eta
-    psi: float        # eta * sqrt(tau * curvature)
-    mc_samples: int
-    mc_stream: StreamKey | None
-    se_cap: float | None
+BACKENDS = ("gaussian-exact", "br-approx", "mc-importance")  # of `sum_tail`
 
 
 def _sharp_terms(model: IncrementModel, tau: int, q: np.ndarray | float,
@@ -395,29 +381,8 @@ def _sharp_terms(model: IncrementModel, tau: int, q: np.ndarray | float,
     return qs, eta, rate, curv, eta * np.sqrt(tau * curv)
 
 
-def tail_query(model: IncrementModel, tau: int, y: float, backend: str = "gaussian-exact",
-               *, mc_samples: int = 10 ** 6, mc_stream: StreamKey | None = None,
-               se_cap: float | None = None) -> TailQuery:
-    """Validate and resolve a tail query; rejects targets outside (mean, q_max)."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "gaussian-exact" and model.kind != "gaussian":
-        raise ValueError("gaussian-exact backend requires a gaussian model")
-    tau = int(tau)
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    q = float(y) / tau
-    if q <= model.mean:
-        raise ValueError(f"per-step target {q} at or below the mean {model.mean}; query rejected")
-    # a zero margin leaves q unclipped below q_max and lets legendre reject the rest
-    _, eta, rate, curv, psi = _sharp_terms(model, tau, q, 0.0)
-    if backend == "mc-importance" and mc_stream is None:
-        raise ValueError("mc-importance needs a stream key")
-    return TailQuery(tau, float(y), backend, q, eta, rate, curv, psi,
-                     int(mc_samples), mc_stream, se_cap)
-
-
-def _mc_importance(model: IncrementModel, query: TailQuery) -> tuple[float, float]:
+def _mc_importance(model: IncrementModel, tau: int, y: float, eta: float, n: int,
+                   stream: StreamKey) -> tuple[float, float]:
     """Unbiased importance-sampling estimate under the eta-tilted walk.
 
     The estimator is the tilted-measure mean of e^{-eta S + tau Lambda(eta)}
@@ -425,46 +390,62 @@ def _mc_importance(model: IncrementModel, query: TailQuery) -> tuple[float, floa
     (sum of tilted normals), which leaves the estimator's law unchanged;
     other kinds accumulate per-step draws in batches.
     """
-    tilted = tilt(model, query.eta)
-    lam_val = cumulant(model, query.eta).value
-    n = query.mc_samples
-    rng_key = query.mc_stream
+    tilted = tilt(model, eta)
+    lam_val = cumulant(model, eta).value
     if model.kind == "gaussian":
-        rng = generator(rng_key)
-        s_sum = rng.normal(query.tau * tilted.mean,
-                           np.sqrt(query.tau * tilted.variance), size=n)
+        rng = generator(stream)
+        s_sum = rng.normal(tau * tilted.mean, np.sqrt(tau * tilted.variance), size=n)
     else:
         s_sum = np.zeros(n)
-        block = max(1, int(2e7) // query.tau)
+        block = max(1, int(2e7) // tau)
         done = 0
         idx = 0
         while done < n:
             take = min(block, n - done)
-            draws = sample(tilted, take * query.tau, substream(rng_key, idx))
-            s_sum[done:done + take] = draws.reshape(take, query.tau).sum(axis=1)
+            draws = sample(tilted, take * tau, substream(stream, idx))
+            s_sum[done:done + take] = draws.reshape(take, tau).sum(axis=1)
             done += take
             idx += 1
-    weights = np.where(s_sum >= query.y,
-                       np.exp(-query.eta * s_sum + query.tau * lam_val), 0.0)
+    weights = np.where(s_sum >= y, np.exp(-eta * s_sum + tau * lam_val), 0.0)
     estimate = float(weights.mean())
     se = float(weights.std(ddof=1) / np.sqrt(n))
     return estimate, se
 
 
-def sum_tail(model: IncrementModel, query: TailQuery) -> TailProbability:
-    """P(S_tau >= y) under the chosen backend."""
-    if query.backend == "gaussian-exact":
+def sum_tail(model: IncrementModel, tau: int, y: float, backend: str, *,
+             mc_samples: int = 10 ** 6, mc_stream: StreamKey | None = None,
+             se_cap: float | None = None) -> TailProbability:
+    """Strict single-point P(S_tau >= y) under the chosen backend.
+
+    Rejects per-step targets y/tau outside (mean, q_max), q_max being the
+    tilted mean at the top of the safe range, for every backend.
+    """
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "gaussian-exact" and model.kind != "gaussian":
+        raise ValueError("gaussian-exact backend requires a gaussian model")
+    tau = int(tau)
+    if tau < 1:
+        raise ValueError("tau must be >= 1")
+    y = float(y)
+    q = y / tau
+    if q <= model.mean:
+        raise ValueError(f"per-step target {q} at or below the mean {model.mean}; query rejected")
+    # a zero margin leaves q unclipped below q_max and lets legendre reject the rest
+    _, eta, rate, curv, _ = _sharp_terms(model, tau, q, 0.0)
+    if backend == "mc-importance" and mc_stream is None:
+        raise ValueError("mc-importance needs a stream key")
+    if backend == "gaussian-exact":
         m, v = model.params
-        value = float(ndtr(-((query.y - query.tau * m) / np.sqrt(query.tau * v))))
-        return TailProbability(value, None, query.backend)
-    if query.backend == "br-approx":
-        value = float(np.exp(-query.tau * query.rate)
-                      / (query.eta * np.sqrt(2 * np.pi * query.tau * query.curvature)))
-        return TailProbability(value, None, query.backend)
-    estimate, se = _mc_importance(model, query)
-    if query.se_cap is not None and se > query.se_cap:
-        raise ArithmeticError(f"mc standard error {se} exceeds the requested cap {query.se_cap}")
-    return TailProbability(estimate, se, query.backend)
+        value = float(ndtr(-((y - tau * m) / np.sqrt(tau * v))))
+        return TailProbability(value, None, backend)
+    if backend == "br-approx":
+        value = float(np.exp(-tau * rate) / (eta * np.sqrt(2 * np.pi * tau * curv)))
+        return TailProbability(value, None, backend)
+    estimate, se = _mc_importance(model, tau, y, eta, int(mc_samples), mc_stream)
+    if se_cap is not None and se > se_cap:
+        raise ArithmeticError(f"mc standard error {se} exceeds the requested cap {se_cap}")
+    return TailProbability(estimate, se, backend)
 
 
 def tail_ratio(model: IncrementModel, tau: int, q: float, x: float,
@@ -482,8 +463,7 @@ def tail_ratio(model: IncrementModel, tau: int, q: float, x: float,
 
     def tail(y: float, part: int) -> float:
         stream = None if mc_stream is None else substream(mc_stream, part)
-        return sum_tail(model, tail_query(model, tau, y, backend, mc_samples=mc_samples,
-                                          mc_stream=stream)).value
+        return sum_tail(model, tau, y, backend, mc_samples=mc_samples, mc_stream=stream).value
 
     denom = tail(q * tau, 0)
     if x == 0.0:
@@ -492,24 +472,19 @@ def tail_ratio(model: IncrementModel, tau: int, q: float, x: float,
     return TailRatio(numer / denom, prediction, numer, denom)
 
 
-def tail_curve(model: IncrementModel, tau: int,
-               backend: str = "auto") -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized y -> P(S_tau >= y) over the whole line.
+def tail_curve(model: IncrementModel, tau: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized y -> P(S_tau >= y) over the whole line; the model picks the formula.
 
-    "auto" resolves to the exact normal tail for gaussian models and to the
-    sharp-tail approximation otherwise.  The approximation is only defined
-    beyond the central region, so the non-gaussian curve blends it with the
-    central-limit tail (log-linear in the standardized exceedance) between two
-    and four tilted standard deviations, and mirrors the construction on the
-    lower tail.  The blend serves full-line surrogate laws; strict
-    single-point queries, which reject targets outside the attainable range
-    instead of clipping them, are `tail_query` with `sum_tail` in this module.
+    Gaussian models get the exact normal tail.  Every other kind gets the
+    sharp-tail approximation, which is only defined beyond the central region,
+    so the curve blends it with the central-limit tail (log-linear in the
+    standardized exceedance) between two and four tilted standard deviations,
+    and mirrors the construction on the lower tail.  The blend serves
+    full-line surrogate laws; strict single-point queries, which reject
+    targets outside the attainable range instead of clipping them, are
+    `sum_tail` in this module.
     """
-    if backend == "auto":
-        backend = "gaussian-exact" if model.kind == "gaussian" else "br-approx"
-    if backend == "gaussian-exact":
-        if model.kind != "gaussian":
-            raise ValueError("gaussian-exact backend requires a gaussian model")
+    if model.kind == "gaussian":
         m, v = model.params
         scale = np.sqrt(tau * v)
 
@@ -518,8 +493,6 @@ def tail_curve(model: IncrementModel, tau: int,
             return ndtr((tau * m - np.asarray(y, dtype=float)) / scale)
 
         return curve_exact
-    if backend != "br-approx":
-        raise ValueError(f"backend {backend!r} cannot evaluate full tail curves")
 
     sd = np.sqrt(tau * model.variance)
 

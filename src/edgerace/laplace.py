@@ -168,10 +168,16 @@ def convolve_g(rho: LaplaceMeasure, model: inc.IncrementModel) -> LaplaceMeasure
 @dataclass(frozen=True)
 class TailIntensity:
     """Decreasing positive intensity tail F(x) = R_rho(x - offset); `inverse`
-    also solves the shifts of `normalized` and `normalizing_shift`."""
+    also solves the shifts of `normalized` and `normalizing_shift`.  Every
+    atom sits at u > 0: an atom at u = 0 keeps the tail from decaying."""
 
     rho: LaplaceMeasure
     offset: float = 0.0
+
+    def __post_init__(self):
+        if self.rho.u[0] == 0.0:
+            raise ValueError("a tail intensity needs every atom at u > 0: "
+                             "an atom at u = 0 keeps the tail from decaying")
 
     def value(self, x: np.ndarray | float) -> np.ndarray | float:
         return transform(self.rho, np.asarray(x, dtype=float) - self.offset)
@@ -204,9 +210,6 @@ class TailIntensity:
         a / u_min when a >= 0 and at a / u_max when a < 0.
         """
         rho = self.rho
-        if rho.u[0] == 0.0:
-            raise ValueError("level crossings need every atom at u > 0: "
-                             "an atom at u = 0 keeps the tail from decaying")
         lo = np.empty_like(logt)
         for rows in row_blocks(logt.size, rho.n_atoms):
             lo[rows] = ((rho.log_w[None, :] - logt[rows, None]) / rho.u[None, :]).max(axis=1)
@@ -364,8 +367,6 @@ def expected_gap(f: TailIntensity | LaplaceMeasure, n: int, tol: float = 1e-9) -
     if n < 1:
         raise ValueError("rank must be a positive integer")
     rate = float(f.rho.u[0])
-    if rate <= 0:
-        raise ValueError("intensity does not decay; the gap integral diverges")
     f_hi = n + 40.0 * np.sqrt(n + 1.0) + 40.0
     f_lo = 10.0 ** (-12.0 / n)
     t_lo = float(f.inverse(f_hi))

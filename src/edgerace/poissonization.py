@@ -3,11 +3,12 @@ extraction of an atomic measure whose transform reproduces the tail.
 
 The expected number of particles at or above x after tau steps is the sum of
 tau-step tail probabilities over the configuration, taken from
-`increments.tail_curve`.  Its unit crossing
-predicts the front; the exact leader law (product over particles) is compared
-with the Poisson surrogate exp(-expected count), and the expected-count tail
-is converted into atoms located at the tilt of each particle's per-step speed
-demand, weighted by its reach probability.
+`increments.tail_curve(model, tau)`, whose formula the increment model picks;
+nothing here chooses or pins it.  Its unit crossing predicts the front; the
+exact leader law (product over particles) is compared with the Poisson
+surrogate exp(-expected count), and the expected-count tail is converted into
+atoms located at the tilt of each particle's per-step speed demand, weighted
+by its reach probability.
 
 Sums over particles on a grid of levels are taken over (level, particle)
 blocks of at most `numerics.BLOCK_CELLS` cells, written in place into one
@@ -28,32 +29,18 @@ from .configurations import Configuration
 from .increments import tail_curve
 from .laplace import LaplaceMeasure
 from .numerics import row_blocks
-from .streams import StreamKey
+
+FRONT_XTOL = 1e-8           # bisection width at which z_front stops
+LEADER_GRID_POINTS = 2001   # levels of the default leader-law grid
+MERGE_TOL = 1e-9            # extracted tilts closer than this merge into one atom
 
 
 def expected_count_above(config: Configuration, model: inc.IncrementModel, tau: int,
-                         x: float, backend: str = "auto",
-                         mc_samples: int = 100_000,
-                         mc_stream: StreamKey | None = None) -> float:
-    """Expected number of particles at or above x after tau steps.
-
-    The mc-importance backend re-estimates every summand under its own tilt
-    (one substream per particle) and exists for validating the closed-form
-    curves; every per-particle query must then be strictly valid.
-    """
+                         x: float) -> float:
+    """Expected number of particles at or above x after tau steps."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    if backend == "mc-importance":
-        if mc_stream is None:
-            raise ValueError("mc-importance needs a stream key")
-        total = 0.0
-        for i, pos in enumerate(config.positions):
-            query = inc.tail_query(model, tau, x - pos, "mc-importance",
-                                   mc_samples=mc_samples,
-                                   mc_stream=(*mc_stream, i))
-            total += inc.sum_tail(model, query).value
-        return total
-    curve = tail_curve(model, tau, backend)
+    curve = tail_curve(model, tau)
     return float(np.sum(curve(x - config.positions)))
 
 
@@ -72,9 +59,9 @@ def _tail_blocks(curve: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
         yield rows, curve(np.subtract(xs[rows, None], positions, out=buf[:n]))
 
 
-def _count_curve(config: Configuration, model: inc.IncrementModel, tau: int,
-                 backend: str) -> Callable[[np.ndarray], np.ndarray]:
-    curve = tail_curve(model, tau, backend)
+def _count_curve(config: Configuration, model: inc.IncrementModel,
+                 tau: int) -> Callable[[np.ndarray], np.ndarray]:
+    curve = tail_curve(model, tau)
     positions = config.positions
 
     def counts(xs: np.ndarray) -> np.ndarray:
@@ -87,14 +74,13 @@ def _count_curve(config: Configuration, model: inc.IncrementModel, tau: int,
     return counts
 
 
-def z_front(config: Configuration, model: inc.IncrementModel, tau: int,
-            backend: str = "auto", xtol: float = 1e-8) -> float:
+def z_front(config: Configuration, model: inc.IncrementModel, tau: int) -> float:
     """Position where the expected count above equals one.
 
     A single particle keeps the expected count strictly below one, which
     surfaces as a no-bracket error; the crossing needs at least two particles.
     """
-    counts = _count_curve(config, model, tau, backend)
+    counts = _count_curve(config, model, tau)
 
     def f(z: float) -> float:
         return float(counts(np.array([z]))[0]) - 1.0
@@ -112,7 +98,7 @@ def z_front(config: Configuration, model: inc.IncrementModel, tau: int,
             break
     else:
         raise ValueError("expected count never reaches one: no front crossing to bracket")
-    while hi - lo > xtol:
+    while hi - lo > FRONT_XTOL:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
             lo = mid
@@ -141,18 +127,19 @@ class LeaderLaw:
 
 
 def leader_laws(config: Configuration, model: inc.IncrementModel, tau: int,
-                grid: np.ndarray | None = None, backend: str = "auto",
-                grid_points: int = 2001) -> tuple[LeaderLaw, LeaderLaw]:
+                grid: np.ndarray | None = None) -> tuple[LeaderLaw, LeaderLaw]:
     """Exact and Poisson-surrogate laws of the leader after tau steps.
 
     The exact law multiplies per-particle survival factors; the surrogate
     exponentiates minus the expected count.  The surrogate dominates pointwise.
+    The default grid spans ten tau-step standard deviations either side of
+    the front prediction in LEADER_GRID_POINTS levels.
     """
-    curve = tail_curve(model, tau, backend)
+    curve = tail_curve(model, tau)
     if grid is None:
-        z = z_front(config, model, tau, backend)
+        z = z_front(config, model, tau)
         half = 10.0 * np.sqrt(tau * model.variance)
-        grid = np.linspace(z - half, z + half, grid_points)
+        grid = np.linspace(z - half, z + half, LEADER_GRID_POINTS)
     grid = np.asarray(grid, dtype=float)
     log_exact = np.empty(grid.size)
     count = np.empty(grid.size)
@@ -194,19 +181,19 @@ class Extraction(NamedTuple):
     n_dropped: int        # particles removed by the depth truncation
 
 
-def extract_laplace(config: Configuration, model: inc.IncrementModel, tau: int,
-                    cutoff: float | None = None, backend: str = "auto",
-                    merge_tol: float = 1e-9) -> Extraction:
+def extract_laplace(config: Configuration, model: inc.IncrementModel,
+                    tau: int) -> Extraction:
     """Atomic measure whose transform mimics the normalized expected-count tail.
 
     Each retained particle contributes an atom at the tilt matching its
     per-step speed demand (z - x_n)/tau, weighted by its tau-step reach
     probability.  Particles deeper than cutoff*tau below the leader are
-    dropped; the default cutoff keeps the attainable tilt an order of
-    magnitude above the pilot mass center.
+    dropped, the cutoff keeping the attainable tilt an order of magnitude
+    above the mass center of a pilot extraction without cutoff.  Atoms whose
+    tilts lie within MERGE_TOL of each other merge.
     """
-    z = z_front(config, model, tau, backend)
-    curve = tail_curve(model, tau, backend)
+    z = z_front(config, model, tau)
+    curve = tail_curve(model, tau)
     depths = config.leader - config.positions  # nonnegative, ascending
 
     def build(limit: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -215,24 +202,23 @@ def extract_laplace(config: Configuration, model: inc.IncrementModel, tau: int,
         qs = (z - kept) / tau
         q_top = inc.cumulant(model, model.lambda_hi).mean
         if np.any(qs <= model.mean) or np.any(qs >= q_top):
-            raise ValueError("tilt out of range for a retained particle; adjust the cutoff")
+            raise ValueError("tilt out of range for a retained particle")
         eta, _ = inc.legendre(model, qs)
         w = curve(z - kept)
         return eta, w, int(config.size - kept.size)
 
-    if cutoff is None:
-        eta, w, _ = build(np.inf)
-        u_mean = float(np.dot(eta, w) / w.sum())
-        target_eta = min(10.0 * u_mean, model.lambda_hi)
-        # depth limit in speed units: the tilt at mean + cutoff reaches the target
-        cutoff = inc.cumulant(model, target_eta).mean - model.mean
+    eta, w, _ = build(np.inf)
+    u_mean = float(np.dot(eta, w) / w.sum())
+    target_eta = min(10.0 * u_mean, model.lambda_hi)
+    # depth limit in speed units: the tilt at mean + cutoff reaches the target
+    cutoff = inc.cumulant(model, target_eta).mean - model.mean
     eta, w, dropped = build(float(cutoff))
     total = float(w.sum())
 
     # merge atoms whose tilt coincides within tolerance
     order = np.argsort(eta, kind="stable")
     eta, w = eta[order], w[order]
-    groups = np.concatenate([[0], np.cumsum(np.diff(eta) > merge_tol)])
+    groups = np.concatenate([[0], np.cumsum(np.diff(eta) > MERGE_TOL)])
     n_groups = int(groups[-1]) + 1
     u_out = np.zeros(n_groups)
     w_out = np.zeros(n_groups)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.stats import norm
 
 from edgerace import configurations as cf
@@ -45,6 +47,30 @@ def test_evolve_ranks_like_a_stable_sort(std_gaussian, n):
         record = dy.evolve(config, std_gaussian, stream=(14, n, r))
         moved = config.positions + record.increments
         np.testing.assert_array_equal(record.permutation, np.argsort(-moved, kind="stable"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_evolve_permutation_matches_increments(data):
+    # whole-number starts and increments force ties before and after the move
+    n = data.draw(hst.integers(1, 40))
+    whole = hst.integers(-4, 4).map(float)
+    points = data.draw(hst.lists(whole | hst.floats(-10.0, 10.0), min_size=n, max_size=n))
+    depth = data.draw(hst.just(np.inf) | hst.floats(0.0, 12.0))
+    config = cf.from_points(points, window_depth=depth)
+    model = inc.gaussian(0.0, 1.0)
+    source = data.draw(hst.sampled_from(["ties", "floats", "stream"]))
+    if source == "stream":
+        record = dy.evolve(config, model, stream=(15, data.draw(hst.integers(0, 10 ** 6))))
+    else:
+        steps = whole if source == "ties" else hst.floats(-6.0, 6.0)
+        h = data.draw(hst.lists(steps, min_size=n, max_size=n))
+        record = dy.evolve(config, model, increments=h)
+    perm = record.permutation
+    moved = (record.pre.positions + record.increments)[perm]
+    assert record.post.positions.tobytes() == moved.tobytes()
+    assert np.unique(perm).size == perm.size and np.all((0 <= perm) & (perm < n))
+    assert record.dropped == n - record.post.size
 
 
 def test_evolve_single_particle(std_gaussian):

@@ -164,8 +164,7 @@ def test_step_tail(std_gaussian, unit_uniform, table_model):
 
 
 def test_sum_tail_gaussian_exact(std_gaussian):
-    q = inc.tail_query(std_gaussian, 100, 30.0, "gaussian-exact")
-    got = inc.sum_tail(std_gaussian, q)
+    got = inc.sum_tail(std_gaussian, 100, 30.0, "gaussian-exact")
     assert got.value == pytest.approx(0.0013498980316300933, rel=1e-12)
     assert got.se is None
 
@@ -173,52 +172,49 @@ def test_sum_tail_gaussian_exact(std_gaussian):
 def test_sum_tail_rejects_below_mean(std_gaussian, unit_uniform):
     for model, y in ((std_gaussian, -5.0), (unit_uniform, 10.0)):
         with pytest.raises(ValueError):
-            inc.tail_query(model, 100, y, "br-approx")
+            inc.sum_tail(model, 100, y, "br-approx")
 
 
-def test_tail_query_psi_positive(std_gaussian):
-    q = inc.tail_query(std_gaussian, 50, 10.0, "br-approx")
-    assert q.eta > 0 and q.psi > 0
+def test_sharp_terms_psi_positive(std_gaussian):
+    _, eta, _, _, psi = inc._sharp_terms(std_gaussian, 50, 0.2, 0.0)
+    assert eta > 0 and psi > 0
 
 
 def test_sum_tail_br_matches_its_formula(std_gaussian):
-    q = inc.tail_query(std_gaussian, 100, 30.0, "br-approx")
     expected = math.exp(-100 * 0.045) / (0.3 * math.sqrt(2 * math.pi * 100))
-    assert inc.sum_tail(std_gaussian, q).value == pytest.approx(expected, rel=1e-12)
+    got = inc.sum_tail(std_gaussian, 100, 30.0, "br-approx")
+    assert got.value == pytest.approx(expected, rel=1e-12)
 
 
 def test_sum_tail_mc_importance_matches_exact(std_gaussian):
-    exact = inc.sum_tail(std_gaussian, inc.tail_query(std_gaussian, 100, 30.0, "gaussian-exact")).value
-    q = inc.tail_query(std_gaussian, 100, 30.0, "mc-importance",
+    exact = inc.sum_tail(std_gaussian, 100, 30.0, "gaussian-exact").value
+    got = inc.sum_tail(std_gaussian, 100, 30.0, "mc-importance",
                        mc_samples=10 ** 6, mc_stream=(5, 1))
-    got = inc.sum_tail(std_gaussian, q)
     assert got.se is not None and got.se > 0
     assert abs(got.value - exact) < 3.0 * got.se
 
 
 def test_sum_tail_mc_grid_within_four_se(std_gaussian):
     for i, (tau, qq) in enumerate([(25, 0.35), (64, 0.3), (100, 0.25)]):
-        exact = inc.sum_tail(std_gaussian, inc.tail_query(std_gaussian, tau, qq * tau, "gaussian-exact")).value
-        got = inc.sum_tail(std_gaussian, inc.tail_query(
-            std_gaussian, tau, qq * tau, "mc-importance", mc_samples=200_000, mc_stream=(21, i)))
+        exact = inc.sum_tail(std_gaussian, tau, qq * tau, "gaussian-exact").value
+        got = inc.sum_tail(std_gaussian, tau, qq * tau, "mc-importance",
+                           mc_samples=200_000, mc_stream=(21, i))
         assert abs(got.value - exact) < 4.0 * got.se
 
 
 def test_sum_tail_mc_nongaussian_batched(unit_uniform):
     # per-step batched sampling path; compare against a plain-MC oracle
-    q = inc.tail_query(unit_uniform, 12, 8.0, "mc-importance",
+    got = inc.sum_tail(unit_uniform, 12, 8.0, "mc-importance",
                        mc_samples=100_000, mc_stream=(23,))
-    got = inc.sum_tail(unit_uniform, q)
     rng = np.random.default_rng(99)
     oracle = (rng.uniform(0, 1, size=(400_000, 12)).sum(axis=1) >= 8.0).mean()
     assert abs(got.value - oracle) < 4.0 * (got.se + math.sqrt(oracle / 400_000))
 
 
 def test_sum_tail_mc_se_cap(std_gaussian):
-    q = inc.tail_query(std_gaussian, 100, 30.0, "mc-importance",
-                       mc_samples=1000, mc_stream=(5, 2), se_cap=1e-12)
     with pytest.raises(ArithmeticError):
-        inc.sum_tail(std_gaussian, q)
+        inc.sum_tail(std_gaussian, 100, 30.0, "mc-importance",
+                     mc_samples=1000, mc_stream=(5, 2), se_cap=1e-12)
 
 
 def test_tail_ratio_exact_values(std_gaussian):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -367,12 +368,17 @@ def test_intensity_bracket_holds_the_crossing(data):
     assert np.all(lp.log_transform(rho, hi) <= logt + ulps)
 
 
-def test_intensity_bracket_rejects_an_atom_at_zero():
-    f = lp.intensity_from_measure(lp.measure([(0.0, 0.3), (1.0, 0.7)]))
-    with pytest.raises(ValueError, match="u > 0"):
-        f.inverse(0.5)
-    with pytest.raises(ValueError, match="u > 0"):
-        lp.gap_functional(f, 1.0)
+def test_intensity_rejects_an_atom_at_zero():
+    # one error at construction, whether the atom at u = 0 is alone or not
+    for rho in (lp.point_mass(0.0, 0.5), lp.measure([(0.0, 0.3), (1.0, 0.7)])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the test
+            with pytest.raises(ValueError, match="u > 0"):
+                lp.intensity_from_measure(rho)
+            with pytest.raises(ValueError, match="u > 0"):
+                lp.gap_functional(rho, 1.0)
+            with pytest.raises(ValueError, match="u > 0"):
+                lp.expected_gap(rho, 1)
 
 
 def test_intensity_inverse_independent_of_blocks(monkeypatch):

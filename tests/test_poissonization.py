@@ -39,13 +39,15 @@ def test_expected_count_two_particles(std_gaussian):
 
 
 def test_expected_count_mc_backend_validates_curve(std_gaussian):
+    # every summand re-estimated under its own tilt, one substream per particle
     config = cf.from_points([0.0, -0.7, -1.9])
     exact = pz.expected_count_above(config, std_gaussian, 4, 3.0)
-    mc = pz.expected_count_above(config, std_gaussian, 4, 3.0, "mc-importance",
-                                 mc_samples=200_000, mc_stream=(71,))
+    mc = sum(inc.sum_tail(std_gaussian, 4, 3.0 - pos, "mc-importance",
+                          mc_samples=200_000, mc_stream=(71, i)).value
+             for i, pos in enumerate(config.positions))
     assert mc == pytest.approx(exact, rel=0.02)
     with pytest.raises(ValueError):
-        pz.expected_count_above(config, std_gaussian, 4, 3.0, "mc-importance")
+        inc.sum_tail(std_gaussian, 4, 3.0, "mc-importance")
 
 
 def test_expected_count_monotone(std_gaussian, rem_config):
@@ -207,7 +209,7 @@ def test_extraction_round_trip_first_gap(std_gaussian):
 
 def test_tail_curve_blend_uniform_sane():
     model = inc.uniform(0.0, 1.0)
-    curve = pz.tail_curve(model, 16, "auto")
+    curve = pz.tail_curve(model, 16)
     ys = np.linspace(-2.0, 18.0, 400)
     vals = curve(ys)
     assert np.all(np.diff(vals) <= 1e-12)
@@ -250,7 +252,7 @@ def test_blocked_counts_equal_unblocked(case, monkeypatch):
     for n in (1, block + 1, 2 * block + 3):
         xs = np.linspace(z - 3.0, z + 3.0, n)
         reference = _unblocked_tails(config, model, tau, xs).sum(axis=1)
-        counts = pz._count_curve(config, model, tau, "auto")(xs)
+        counts = pz._count_curve(config, model, tau)(xs)
         assert counts.tobytes() == reference.tobytes()
         singles = [pz.expected_count_above(config, model, tau, x) for x in xs]
         assert np.array(singles).tobytes() == reference.tobytes()
@@ -278,7 +280,7 @@ def test_blocked_z_front_equals_unblocked(case, monkeypatch):
     model, config, _ = _block_case(*case, monkeypatch)
     blocked = pz.z_front(config, model, 4)
 
-    def unblocked_counts(config, model, tau, backend):
+    def unblocked_counts(config, model, tau):
         return lambda xs: _unblocked_tails(config, model, tau, np.atleast_1d(xs)).sum(axis=1)
 
     monkeypatch.setattr(pz, "_count_curve", unblocked_counts)
@@ -291,7 +293,7 @@ def test_leader_laws_memory_is_flat(std_gaussian, rem_config):
     pz.leader_laws(rem_config, std_gaussian, 8)
     tracemalloc.start()
     try:
-        pz.leader_laws(rem_config, std_gaussian, 8, grid_points=2001)
+        pz.leader_laws(rem_config, std_gaussian, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
