@@ -2,9 +2,8 @@
 evolving by independent increments at the leading edge."""
 
 from .configurations import (Configuration, count_within, from_points, gaps,
-                             normalize_shift, sample_from_tail_intensity, sample_rem)
-from .dynamics import (EvolutionRecord, EvolutionTrace, evolve, evolve_many,
-                       regularity_count, truncation_bias)
+                             sample_from_tail_intensity, sample_rem)
+from .dynamics import EvolutionRecord, EvolutionTrace, evolve, evolve_many, truncation_bias
 from .increments import (Cumulant, IncrementModel, Legendre, TailProbability,
                          TailRatio, cumulant, front_velocity, gaussian, legendre, sample,
                          step_tail, sum_tail, tabulated, tail_curve, tail_ratio, tilt,
@@ -15,8 +14,7 @@ from .laplace import (LaplaceMeasure, TailIntensity, convolve_g, expected_gap,
                       point_mass, shift, steeper, transform)
 from .poissonization import (Extraction, LeaderLaw, expected_count_above,
                              extract_laplace, law_distance, leader_laws, z_front)
-from .stats import (EmpiricalCdf, KsResult, empirical_gap_cdf, ks_distance,
-                    ks_two_sample, mpgfl_estimate, mpgfl_poisson)
+from .stats import KsResult, ks_distance, ks_two_sample, mpgfl_estimate, mpgfl_poisson
 from .streams import StreamKey, generator, replica_map, stream, substream
 
 __version__ = "0.1.0"

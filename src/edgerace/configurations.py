@@ -2,9 +2,11 @@
 
 A configuration is the leading window of a (possibly infinite) ranked point
 set: descending positions plus a declared window depth stating how far behind
-the leader the representation is faithful.  Poisson samples are produced by
-inverting the intensity tail at unit-rate arrival times, which keeps the
-construction open-ended in depth and bit-reproducible across window choices.
+the leader the representation is faithful.  A Poisson sample is the top n
+points, produced by inverting the intensity tail at unit-rate arrival times,
+so it is bit-reproducible from its stream key and its first k points do not
+depend on n.  Samples are asked for by particle count only; the window depth
+of a sample is where its n-th point falls.
 """
 
 from __future__ import annotations
@@ -62,11 +64,6 @@ def gaps(config: Configuration) -> np.ndarray:
     return config.leader - config.positions
 
 
-def normalize_shift(config: Configuration) -> Configuration:
-    """Shift so the leader sits at zero; gap structure unchanged."""
-    return Configuration(config.positions - config.leader, config.window_depth)
-
-
 def count_within(config: Configuration, y: float,
                  bound: tuple[float, float] | None = None) -> int | tuple[int, bool]:
     """Number of particles within distance y of the leader.
@@ -85,41 +82,24 @@ def count_within(config: Configuration, y: float,
     return count, count <= a * np.exp(lam * y)
 
 
-def sample_from_tail_intensity(intensity: TailIntensity, depth: int | float,
+def sample_from_tail_intensity(intensity: TailIntensity, depth: int,
                                stream: StreamKey) -> Configuration:
-    """Poisson configuration whose expected count above x is the intensity tail.
+    """The top `depth` points of the Poisson process whose expected count
+    above x is the intensity tail.
 
     Positions are the intensity inverse at cumulative unit-rate exponential
-    arrivals.  An integer depth asks for that many particles; a float depth is
-    a window in position units, extended until the window is exhausted.
+    arrivals; the window depth is the distance from the first to the last.
     """
-    rng = generator(stream)
-    if isinstance(depth, (int, np.integer)) and not isinstance(depth, bool):
-        n = int(depth)
-        if n < 1:
-            raise ValueError("particle count must be positive")
-        arrivals = np.cumsum(rng.exponential(size=n))
-        positions = np.asarray(intensity.inverse(arrivals), dtype=float)
-        return Configuration(positions, float(positions[0] - positions[-1]))
-    window = float(depth)
-    if window <= 0:
-        raise ValueError("window depth must be positive")
-    blocks: list[np.ndarray] = []
-    total = 0.0
-    leader: float | None = None
-    for _ in range(64):
-        arrivals = total + np.cumsum(rng.exponential(size=4096))
-        total = float(arrivals[-1])
-        pos = np.asarray(intensity.inverse(arrivals), dtype=float)
-        if leader is None:
-            leader = float(pos[0])
-        blocks.append(pos)
-        if pos[-1] < leader - window:
-            all_pos = np.concatenate(blocks)
-            return Configuration(all_pos[all_pos >= leader - window], window)
-    raise ValueError("intensity tail too heavy: window not exhausted after 64 blocks")
+    if not isinstance(depth, (int, np.integer)) or isinstance(depth, bool):
+        raise ValueError(f"particle count must be an integer, got {depth!r}")
+    if depth < 1:
+        raise ValueError("particle count must be positive")
+    arrivals = np.cumsum(generator(stream).exponential(size=int(depth)))
+    positions = np.asarray(intensity.inverse(arrivals), dtype=float)
+    return Configuration(positions, float(positions[0] - positions[-1]))
 
 
-def sample_rem(s: float, z: float, depth: int | float, stream: StreamKey) -> Configuration:
-    """Poisson configuration with the exponential intensity of rate s anchored at z."""
+def sample_rem(s: float, z: float, depth: int, stream: StreamKey) -> Configuration:
+    """Top `depth` points of the Poisson process with the exponential intensity
+    of rate s anchored at z."""
     return sample_from_tail_intensity(exponential_intensity(s, z), depth, stream)

@@ -91,11 +91,6 @@ def evolve_many(config: Configuration, model: inc.IncrementModel, tau: int,
     return EvolutionTrace(current, displacements, leaders, dropped)
 
 
-def regularity_count(config: Configuration, model: inc.IncrementModel, x: float) -> float:
-    """Expected number of particles at or above x after one step."""
-    return float(np.sum(inc.step_tail(model, x - config.positions)))
-
-
 def _fit_occupancy(config: Configuration) -> tuple[float, float]:
     """Least-squares exponential fit count(y) ~ A e^{lam y} over the window."""
     depth = gaps(config)[1:]

@@ -516,7 +516,7 @@ def _run_gaps(spec: ExperimentSpec) -> ExperimentReport:
         metrics.append(_below_metric(f"ks_gap_{k}_exponential", res.statistic,
                                      res.critical[alpha]))
     intensity = lp.exponential_intensity(spec.s)
-    for n in (1, 2, n_max):
+    for n in sorted({1, 2, n_max}):
         err = abs(lp.expected_gap(intensity, n) - 1.0 / (n * spec.s))
         metrics.append(_below_metric(f"quadrature_gap_error_{n}", err, quad_tol))
     tables = {"gap_means": (["rank", "mean", "target", "se"], rows)}

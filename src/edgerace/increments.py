@@ -12,7 +12,9 @@ interchangeable backends), full-line curves (`tail_curve`, whose formula the
 model's kind picks: closed form for the gaussian, a sharp-tail blend
 otherwise) and the Chernoff upper bound on the log-tail (`log_tail_bound`).
 The Bahadur-Rao sharp-tail terms behind all three are built in one place,
-`_sharp_terms`.
+`_sharp_terms`.  The gaussian tail probability has one formula, in
+`tail_curve`, which the `gaussian-exact` backend and the gaussian `step_tail`
+evaluate.
 
 Every operation is pure; sampling takes an explicit stream key.
 """
@@ -33,6 +35,7 @@ GRID_CLIP_MASS = 1e-10    # tilted mass tolerated in the outermost grid cells
 LEGENDRE_RESIDUAL = 1e-10 # tolerance on the tilted-mean equation
 _MEAN_EPS = 1e-12         # slack for treating a target mean as the untilted one
 _COMPACT_EXPONENT_CAP = 80.0  # cap on |lambda| * support width for edge-supported tables
+RATIO_WINDOW_EXPONENT = 0.4  # tail_ratio accepts shifts |x| <= tau^this
 
 
 class Cumulant(NamedTuple):
@@ -349,8 +352,7 @@ def step_tail(model: IncrementModel, t: np.ndarray | float) -> np.ndarray | floa
     """One-step upper tail P(h >= t), exact up to the grid representation."""
     t_arr = np.asarray(t, dtype=float)
     if model.kind == "gaussian":
-        m, v = model.params
-        out = ndtr(-((t_arr - m) / np.sqrt(v)))
+        out = tail_curve(model, 1)(t_arr)
     elif model.kind == "uniform":
         lo, hi = model.params
         out = np.clip((hi - t_arr) / (hi - lo), 0.0, 1.0)
@@ -413,8 +415,7 @@ def _mc_importance(model: IncrementModel, tau: int, y: float, eta: float, n: int
 
 
 def sum_tail(model: IncrementModel, tau: int, y: float, backend: str, *,
-             mc_samples: int = 10 ** 6, mc_stream: StreamKey | None = None,
-             se_cap: float | None = None) -> TailProbability:
+             mc_samples: int = 10 ** 6, mc_stream: StreamKey | None = None) -> TailProbability:
     """Strict single-point P(S_tau >= y) under the chosen backend.
 
     Rejects per-step targets y/tau outside (mean, q_max), q_max being the
@@ -436,28 +437,26 @@ def sum_tail(model: IncrementModel, tau: int, y: float, backend: str, *,
     if backend == "mc-importance" and mc_stream is None:
         raise ValueError("mc-importance needs a stream key")
     if backend == "gaussian-exact":
-        m, v = model.params
-        value = float(ndtr(-((y - tau * m) / np.sqrt(tau * v))))
-        return TailProbability(value, None, backend)
+        return TailProbability(float(tail_curve(model, tau)(y)), None, backend)
     if backend == "br-approx":
         value = float(np.exp(-tau * rate) / (eta * np.sqrt(2 * np.pi * tau * curv)))
         return TailProbability(value, None, backend)
     estimate, se = _mc_importance(model, tau, y, eta, int(mc_samples), mc_stream)
-    if se_cap is not None and se > se_cap:
-        raise ArithmeticError(f"mc standard error {se} exceeds the requested cap {se_cap}")
     return TailProbability(estimate, se, backend)
 
 
-def tail_ratio(model: IncrementModel, tau: int, q: float, x: float,
-               backend: str = "gaussian-exact", *, beta: float = 0.4,
+def tail_ratio(model: IncrementModel, tau: int, q: float, x: float, backend: str, *,
                mc_samples: int = 10 ** 6, mc_stream: StreamKey | None = None) -> TailRatio:
     """Shifted-threshold tail ratio against its exponential prediction.
 
     Returns P(S_tau >= q tau + x) / P(S_tau >= q tau) computed with one shared
-    backend, alongside the prediction e^{-eta(q) x}.
+    backend, alongside the prediction e^{-eta(q) x}.  The shift must lie in
+    the polynomial window |x| <= tau^RATIO_WINDOW_EXPONENT.
     """
-    if abs(x) > tau ** beta:
-        raise ValueError(f"|x|={abs(x)} outside the polynomial window tau^beta={tau ** beta:.4g}")
+    window = tau ** RATIO_WINDOW_EXPONENT
+    if abs(x) > window:
+        raise ValueError(f"|x|={abs(x)} outside the polynomial window "
+                         f"tau^{RATIO_WINDOW_EXPONENT}={window:.4g}")
     eta, _ = legendre(model, q)
     prediction = float(np.exp(-eta * x))
 

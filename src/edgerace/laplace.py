@@ -32,12 +32,20 @@ from .numerics import adaptive_gauss, logsumexp, monotone_root, row_blocks
 from .streams import StreamKey, generator
 
 NORMALIZE_TOL = 1e-12
+UNIT_MASS_TOL = 1e-9    # mass error that convolution_shift accepts as normalized
 QUAD_TOL = 1e-10        # absolute quadrature target for the functionals
+LEVEL_TOL = 1e-8        # quadrature target of level_functional
+GAP_REMAINDER_TOL = 1e-9  # certified far-tail remainder of expected_gap
 TAIL_BUDGET = 1e-13     # certified remainder outside the quadrature range
 STEEPER_SLACK = 1e-9
 _NEWTON_SEEDS = 128      # points of the log-transform sweep that seeds Newton
 _NEWTON_MAX_ITER = 50
 _NEWTON_XTOL = 1e-14     # relative step at which a Newton block has converged
+# random_corpus draws: atom count range, atom location range, and the least
+# weight an atom may carry after normalization
+CORPUS_ATOMS = (2, 6)
+CORPUS_U_RANGE = (0.05, 4.0)
+CORPUS_MIN_WEIGHT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -129,10 +137,6 @@ def normalize(rho: LaplaceMeasure) -> LaplaceMeasure:
     return shift(rho, normalizing_shift(rho))
 
 
-def is_normalized(rho: LaplaceMeasure, tol: float = 1e-9) -> bool:
-    return abs(rho.total_mass - 1.0) <= tol
-
-
 class Convolution(NamedTuple):
     z: float                 # normalizing shift of the convolved measure
     measure: LaplaceMeasure  # atoms u with weights w e^{Lambda(u) - z u}, unit mass
@@ -140,7 +144,7 @@ class Convolution(NamedTuple):
 
 def convolution_shift(rho: LaplaceMeasure, model: inc.IncrementModel) -> Convolution:
     """Normalizing z for the increment-convolved measure, with the measure it normalizes."""
-    if not is_normalized(rho):
+    if abs(rho.total_mass - 1.0) > UNIT_MASS_TOL:
         raise ValueError("measure must be normalized (unit mass) before convolving")
     if rho.u[-1] > model.lambda_hi:
         raise ValueError(
@@ -152,7 +156,7 @@ def convolution_shift(rho: LaplaceMeasure, model: inc.IncrementModel) -> Convolu
         return float(logsumexp(logw - z * rho.u))
 
     z0 = float(np.max(logw / np.maximum(rho.u, 1e-300)))
-    z = monotone_root(f, z0 - 1.0, z0 + 1.0, xtol=1e-14)
+    z = monotone_root(f, z0 - 1.0, z0 + 1.0)
     return Convolution(z, LaplaceMeasure(rho.u, rho.w * np.exp(lam - z * rho.u)))
 
 
@@ -324,7 +328,7 @@ def gap_functional(f: TailIntensity | LaplaceMeasure, u: float) -> float:
 
 
 def level_functional(f: TailIntensity | LaplaceMeasure, shape_w: Sequence[float],
-                     shape_vals: Sequence[float], tol: float = 1e-8) -> float:
+                     shape_vals: Sequence[float]) -> float:
     """Integral over time of a tabulated shape applied to the intensity level.
 
     The shape is linearly interpolated on its level grid and must vanish at
@@ -354,14 +358,14 @@ def level_functional(f: TailIntensity | LaplaceMeasure, shape_w: Sequence[float]
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.interp(np.asarray(f.value(t)), w, v, left=0.0, right=0.0)
 
-    return adaptive_gauss(integrand, t_lo, t_hi, tol=tol, max_panels=16384)
+    return adaptive_gauss(integrand, t_lo, t_hi, tol=LEVEL_TOL, max_panels=16384)
 
 
-def expected_gap(f: TailIntensity | LaplaceMeasure, n: int, tol: float = 1e-9) -> float:
+def expected_gap(f: TailIntensity | LaplaceMeasure, n: int) -> float:
     """Mean gap between ranks n and n+1 of the Poisson configuration.
 
     Integrates F^n e^{-F} / n! over time; the range is chosen so the
-    discarded tails contribute provably less than the tolerance.
+    discarded tails contribute provably less than GAP_REMAINDER_TOL.
     """
     f = _coerce(f)
     if n < 1:
@@ -377,20 +381,19 @@ def expected_gap(f: TailIntensity | LaplaceMeasure, n: int, tol: float = 1e-9) -
         fv = np.asarray(f.value(t))
         return np.exp(n * np.log(fv) - fv - log_nfac)
 
-    val = adaptive_gauss(integrand, t_lo, t_hi, tol=min(tol, QUAD_TOL))
+    val = adaptive_gauss(integrand, t_lo, t_hi, tol=QUAD_TOL)
     remainder = f_lo ** n / (np.exp(log_nfac) * n * rate)
-    if remainder > tol:
+    if remainder > GAP_REMAINDER_TOL:
         raise ArithmeticError("cannot certify the far-tail remainder of the gap integral")
     return val
 
 
-def random_corpus(n_measures: int, stream: StreamKey, *, n_atoms: tuple[int, int] = (2, 6),
-                  u_range: tuple[float, float] = (0.05, 4.0),
-                  min_weight: float = 1e-3) -> list[LaplaceMeasure]:
+def random_corpus(n_measures: int, stream: StreamKey) -> list[LaplaceMeasure]:
     """Normalized random atomic measures with every atom carrying real mass.
 
     Used by the monotonicity and contraction checks; the rejection loop keeps
-    only draws whose post-normalization weights all stay above min_weight.
+    only draws whose post-normalization weights all stay above
+    CORPUS_MIN_WEIGHT.
     """
     rng = generator(stream)
     out: list[LaplaceMeasure] = []
@@ -399,8 +402,8 @@ def random_corpus(n_measures: int, stream: StreamKey, *, n_atoms: tuple[int, int
         attempts += 1
         if attempts > 100 * n_measures:
             raise RuntimeError("corpus rejection loop failed to converge")
-        k = int(rng.integers(n_atoms[0], n_atoms[1] + 1))
-        u = np.sort(rng.uniform(*u_range, size=k))
+        k = int(rng.integers(CORPUS_ATOMS[0], CORPUS_ATOMS[1] + 1))
+        u = np.sort(rng.uniform(*CORPUS_U_RANGE, size=k))
         if np.any(np.diff(u) < 1e-3):
             continue
         w = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=k))
@@ -408,7 +411,7 @@ def random_corpus(n_measures: int, stream: StreamKey, *, n_atoms: tuple[int, int
             rho = normalize(LaplaceMeasure(u, w))
         except (ValueError, ArithmeticError):
             continue
-        if rho.w.min() < min_weight:
+        if rho.w.min() < CORPUS_MIN_WEIGHT:
             continue
         out.append(rho)
     return out

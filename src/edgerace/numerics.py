@@ -1,5 +1,12 @@
 """Deterministic quadrature, root-bracketing and log-sum-exp helpers shared across modules.
 
+The quadrature and the root finder have no knobs beyond what their callers
+set: `gauss_panels` uses GAUSS_ORDER nodes per panel, `adaptive_gauss` starts
+from GAUSS_START_PANELS panels, and `monotone_root` widens its bracket at most
+BRACKET_STEPS times and refines to ROOT_XTOL.  `monotone_root` imports scipy's
+`brentq` when it runs, so importing the package does not load
+`scipy.optimize`.
+
 `logsumexp` is the package's only log-sum-exp.  For nonempty real input it
 returns results bit-for-bit identical to `scipy.special.logsumexp` (scipy 1.17's
 arithmetic, step by step).  It exists because scipy's per-call array-API
@@ -14,14 +21,17 @@ block size.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.optimize import brentq
 
-_BRENTQ_RTOL = 8.9e-16  # slightly above the 4*eps minimum scipy accepts
 BLOCK_CELLS = 1 << 17   # cells per row block; a whole row when a row is longer
+GAUSS_ORDER = 32        # Gauss-Legendre nodes per panel
+GAUSS_START_PANELS = 8  # panels of adaptive_gauss's first pass
+ROOT_XTOL = 1e-14       # absolute root width of monotone_root
+BRACKET_STEPS = 200     # widening steps monotone_root takes before it gives up
+_BRENTQ_RTOL = 8.9e-16  # slightly above the 4*eps minimum scipy accepts
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
 def row_blocks(rows: int, row_len: int) -> Iterator[slice]:
@@ -32,35 +42,28 @@ def row_blocks(rows: int, row_len: int) -> Iterator[slice]:
         yield slice(start, min(start + step, rows))
 
 
-@lru_cache(maxsize=None)
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
-
-
 def gauss_panels(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                 panels: int, order: int = 32) -> float:
+                 panels: int) -> float:
     """Composite Gauss-Legendre quadrature of a vectorized integrand."""
     if hi <= lo:
         return 0.0
-    nodes, weights = _gauss_rule(order)
     edges = np.linspace(lo, hi, panels + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    xs = (centers[:, None] + half * nodes[None, :]).ravel()
-    ws = np.broadcast_to(half * weights, (panels, order)).ravel()
+    xs = (centers[:, None] + half * _GAUSS_NODES[None, :]).ravel()
+    ws = np.broadcast_to(half * _GAUSS_WEIGHTS, (panels, GAUSS_ORDER)).ravel()
     vals = np.asarray(fn(xs), dtype=float)
     return float(np.dot(vals, ws))
 
 
 def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                   tol: float = 1e-10, panels: int = 8, max_panels: int = 8192,
-                   order: int = 32) -> float:
-    """Panel-doubling quadrature; raises ArithmeticError if it fails to settle."""
-    prev = gauss_panels(fn, lo, hi, panels, order)
-    n = 2 * panels
+                   tol: float, max_panels: int = 8192) -> float:
+    """Panel-doubling quadrature from GAUSS_START_PANELS panels; raises
+    ArithmeticError if it fails to settle."""
+    prev = gauss_panels(fn, lo, hi, GAUSS_START_PANELS)
+    n = 2 * GAUSS_START_PANELS
     while n <= max_panels:
-        cur = gauss_panels(fn, lo, hi, n, order)
+        cur = gauss_panels(fn, lo, hi, n)
         if abs(cur - prev) <= tol:
             return cur
         prev = cur
@@ -68,20 +71,25 @@ def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     raise ArithmeticError(f"quadrature did not reach tolerance {tol} on [{lo}, {hi}]")
 
 
-def expand_bracket(fn: Callable[[float], float], lo: float, hi: float,
-                   grow: float = 2.0, max_steps: int = 200) -> tuple[float, float]:
-    """Widen [lo, hi] until fn changes sign; intended for monotone fn."""
+def monotone_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of a monotone function to ROOT_XTOL, widening [lo, hi] until fn
+    changes sign.
+
+    Each widening step doubles and extends toward the endpoint already closer
+    to the root, at most BRACKET_STEPS times.
+    """
+    from scipy.optimize import brentq  # here, so importing the package skips scipy.optimize
+
     flo, fhi = fn(lo), fn(hi)
     step = max(hi - lo, 1e-6)
-    for _ in range(max_steps):
+    for _ in range(BRACKET_STEPS):
         if flo == 0.0:
-            return lo, lo
+            return float(lo)
         if fhi == 0.0:
-            return hi, hi
+            return float(hi)
         if np.sign(flo) != np.sign(fhi):
-            return lo, hi
-        step *= grow
-        # extend toward the endpoint already closer to the root
+            return float(brentq(fn, lo, hi, xtol=ROOT_XTOL, rtol=_BRENTQ_RTOL))
+        step *= 2.0
         if abs(fhi) < abs(flo):
             hi += step
             fhi = fn(hi)
@@ -89,15 +97,6 @@ def expand_bracket(fn: Callable[[float], float], lo: float, hi: float,
             lo -= step
             flo = fn(lo)
     raise ValueError("no sign change found while expanding bracket")
-
-
-def monotone_root(fn: Callable[[float], float], lo: float, hi: float,
-                  xtol: float = 1e-13) -> float:
-    """Bracketed root of a monotone function, expanding the bracket if needed."""
-    lo, hi = expand_bracket(fn, lo, hi)
-    if lo == hi:
-        return float(lo)
-    return float(brentq(fn, lo, hi, xtol=xtol, rtol=_BRENTQ_RTOL))
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:

@@ -14,7 +14,8 @@ Sums over particles on a grid of levels are taken over (level, particle)
 blocks of at most `numerics.BLOCK_CELLS` cells, written in place into one
 reused buffer, so memory stays flat in the grid length and the configuration
 size.  Every level's sum is that of its own row, so the results are the same
-bits for any block size.
+bits for any block size.  `expected_count_above` and `z_front` share that one
+blocked sum.
 """
 
 from __future__ import annotations
@@ -33,15 +34,6 @@ from .numerics import row_blocks
 FRONT_XTOL = 1e-8           # bisection width at which z_front stops
 LEADER_GRID_POINTS = 2001   # levels of the default leader-law grid
 MERGE_TOL = 1e-9            # extracted tilts closer than this merge into one atom
-
-
-def expected_count_above(config: Configuration, model: inc.IncrementModel, tau: int,
-                         x: float) -> float:
-    """Expected number of particles at or above x after tau steps."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    curve = tail_curve(model, tau)
-    return float(np.sum(curve(x - config.positions)))
 
 
 def _tail_blocks(curve: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
@@ -65,13 +57,23 @@ def _count_curve(config: Configuration, model: inc.IncrementModel,
     positions = config.positions
 
     def counts(xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        xs = np.asarray(xs, dtype=float).ravel()
         out = np.empty(xs.size)
         for rows, p in _tail_blocks(curve, xs, positions):
             out[rows] = p.sum(axis=1)
         return out
 
     return counts
+
+
+def expected_count_above(config: Configuration, model: inc.IncrementModel, tau: int,
+                         x: np.ndarray | float) -> np.ndarray | float:
+    """Expected number of particles at or above x after tau steps, at a level
+    or an array of levels (the blocked sum of `z_front`)."""
+    if tau < 1:
+        raise ValueError("tau must be >= 1")
+    counts = _count_curve(config, model, tau)(x)
+    return counts.reshape(np.shape(x)) if np.ndim(x) else float(counts[0])
 
 
 def z_front(config: Configuration, model: inc.IncrementModel, tau: int) -> float:

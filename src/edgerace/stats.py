@@ -1,8 +1,12 @@
-"""Empirical estimators and distances for gap laws and point-process checks."""
+"""Empirical estimators and distances for gap laws and point-process checks.
+
+The KS distances take plain arrays of samples.  `mpgfl_estimate` averages the
+gap generating functional over an ensemble, and `mpgfl_poisson` computes it
+exactly for a Poisson process on a grid of MPGFL_CELLS cells.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -12,26 +16,7 @@ from .laplace import TailIntensity
 
 KS_COEFF = {0.05: 1.358, 0.01: 1.628}
 KS_MIN_SAMPLES = 10
-
-
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    values: np.ndarray  # sorted ascending
-
-    def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=float))
-        if v.size < 1:
-            raise ValueError("empirical cdf needs at least one value")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    def evaluate(self, x: np.ndarray | float) -> np.ndarray | float:
-        out = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right") / self.n
-        return out if np.ndim(x) else float(out)
+MPGFL_CELLS = 2 ** 16  # grid cells of mpgfl_poisson's leader integral
 
 
 class KsResult(NamedTuple):
@@ -47,14 +32,14 @@ def _critical(n_eff: float) -> dict[float, float]:
     return {alpha: c / np.sqrt(n_eff) for alpha, c in KS_COEFF.items()}
 
 
-def ks_distance(sample: EmpiricalCdf | Sequence[float],
+def ks_distance(sample: Sequence[float],
                 reference: Callable[[np.ndarray], np.ndarray]) -> KsResult:
     """One-sample KS statistic against a reference cdf, with asymptotic criticals."""
-    cdf = sample if isinstance(sample, EmpiricalCdf) else EmpiricalCdf(np.asarray(sample))
-    n = cdf.n
+    values = np.sort(np.asarray(sample, dtype=float))
+    n = values.size
     if n < KS_MIN_SAMPLES:
         raise ValueError(f"need at least {KS_MIN_SAMPLES} samples")
-    ref = np.asarray(reference(cdf.values), dtype=float)
+    ref = np.asarray(reference(values), dtype=float)
     if np.any(~np.isfinite(ref)) or np.any(ref < -1e-12) or np.any(ref > 1 + 1e-12):
         raise ValueError("reference cdf must map the sample into [0, 1]")
     if np.any(np.diff(ref) < -1e-12):
@@ -77,18 +62,6 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     stat = float(np.abs(fa - fb).max())
     n_eff = a.size * b.size / (a.size + b.size)
     return KsResult(stat, _critical(n_eff), float(n_eff))
-
-
-def empirical_gap_cdf(ensemble: Sequence[Configuration], k: int) -> EmpiricalCdf:
-    """Sample of the k-th gap (distance between ranks k and k+1) across an ensemble."""
-    if k < 1:
-        raise ValueError("gap rank must be >= 1")
-    vals = np.empty(len(ensemble))
-    for i, config in enumerate(ensemble):
-        if config.size < k + 1:
-            raise ValueError(f"configuration {i} has fewer than {k + 1} particles")
-        vals[i] = config.positions[k - 1] - config.positions[k]
-    return EmpiricalCdf(vals)
 
 
 class FunctionalEstimate(NamedTuple):
@@ -138,13 +111,14 @@ class PoissonFunctional(NamedTuple):
 
 
 def mpgfl_poisson(intensity: TailIntensity, fx: Sequence[float], fy: Sequence[float],
-                  window: float, resolution: int = 2 ** 16) -> PoissonFunctional:
+                  window: float) -> PoissonFunctional:
     """Gap generating functional of the Poisson process with the given tail.
 
     Conditions on the leader location x and integrates
     exp{-integral of (1 - e^{-f(x-y)}) against the intensity below x}
     against the leader law d[e^{-F(x)}] over [-window, window] around the
-    normalized front.  The leader's own f(0) term is not included here.
+    normalized front, on MPGFL_CELLS cells.  The leader's own f(0) term is not
+    included here.
     """
     fx = np.asarray(fx, dtype=float)
     fy = np.asarray(fy, dtype=float)
@@ -154,7 +128,7 @@ def mpgfl_poisson(intensity: TailIntensity, fx: Sequence[float], fy: Sequence[fl
     support = float(fx[fy > 0].max()) if np.any(fy > 0) else 0.0
     lo = -float(window) - support
     hi = float(window)
-    grid = np.linspace(lo, hi, resolution + 1)
+    grid = np.linspace(lo, hi, MPGFL_CELLS + 1)
     h = grid[1] - grid[0]
     centers = 0.5 * (grid[:-1] + grid[1:])
     fvals = np.asarray(f.value(grid))

@@ -37,16 +37,6 @@ def test_gaps_shift_invariant():
     np.testing.assert_allclose(cf.gaps(config), cf.gaps(shifted))
 
 
-def test_normalize_shift():
-    config = cf.from_points([3.0, 1.0])
-    normalized = cf.normalize_shift(config)
-    np.testing.assert_allclose(normalized.positions, [0.0, -2.0])
-    again = cf.normalize_shift(normalized)
-    np.testing.assert_array_equal(again.positions, normalized.positions)
-    shifted = cf.Configuration(config.positions + 4.2, config.window_depth)
-    np.testing.assert_allclose(cf.normalize_shift(shifted).positions, normalized.positions)
-
-
 def test_count_within():
     config = cf.from_points([0.0, -1.0, -2.0], window_depth=10.0)
     assert cf.count_within(config, 1.5) == 2
@@ -85,12 +75,17 @@ def test_sampler_determinism():
     np.testing.assert_array_equal(a.positions, b.positions)
 
 
-def test_sample_by_window_depth():
-    config = cf.sample_from_tail_intensity(lp.exponential_intensity(1.0), 5.0, (31,))
-    assert config.window_depth == 5.0
-    assert config.positions[-1] >= config.leader - 5.0
-    # expected count above depth 5 is e^5, give slack either side
-    assert 50 < config.size < 400
+def test_sampler_takes_a_particle_count():
+    intensity = lp.exponential_intensity(1.0)
+    config = cf.sample_from_tail_intensity(intensity, np.int64(40), (31,))
+    assert config.size == 40
+    assert config.window_depth == config.leader - config.positions[-1]
+    # the first k points do not depend on how many are asked for
+    head = cf.sample_from_tail_intensity(intensity, 10, (31,))
+    np.testing.assert_array_equal(head.positions, config.positions[:10])
+    for bad in (5.0, True, 0):
+        with pytest.raises(ValueError):
+            cf.sample_from_tail_intensity(intensity, bad, (31,))
 
 
 def test_rem_first_gap_exponential_ks():

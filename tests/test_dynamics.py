@@ -135,17 +135,6 @@ def test_front_velocity_certified_horizon(std_gaussian):
     assert abs(vels.mean() - 0.5) < 0.05
 
 
-def test_regularity_count_values(std_gaussian):
-    single = cf.from_points([0.0])
-    assert dy.regularity_count(single, std_gaussian, 0.0) == pytest.approx(0.5, abs=1e-12)
-    pair = cf.from_points([0.0, -1.0])
-    expected = float(norm.sf(1.0) + norm.sf(2.0))
-    assert dy.regularity_count(pair, std_gaussian, 1.0) == pytest.approx(expected, rel=1e-12)
-    vals = [dy.regularity_count(pair, std_gaussian, x) for x in np.linspace(0, 8, 17)]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < 1e-8
-
-
 def test_truncation_bias_deep_window(std_gaussian):
     config = cf.sample_rem(1.0, 0.0, 10_000, (83,))
     bound = dy.truncation_bias(config, std_gaussian, tau=5,

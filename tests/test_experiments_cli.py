@@ -268,6 +268,20 @@ def test_cli_run_pass_and_seed_override(tmp_path, capsys):
     assert "verdict: pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_cli_gaps_small_n_max_checks_each_rank_once(tmp_path, n_max):
+    config = tmp_path / "gaps.json"
+    config.write_text(json.dumps({"experiment": "gaps", "seed": 3,
+                                  "ensemble": 300, "n_max": n_max, "k_max": 1}))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out", str(out_dir)]) in (0, 1)
+    names = [line.split(",")[0]
+             for line in (out_dir / "report.csv").read_text().splitlines()[1:]]
+    assert len(names) == len(set(names))
+    ranks = [int(n.rsplit("_", 1)[1]) for n in names if n.startswith("quadrature_gap_error_")]
+    assert ranks == [1, 2]
+
+
 def test_cli_run_metric_failure_still_writes_report(tmp_path):
     config = tmp_path / "vel.json"
     config.write_text(json.dumps({
@@ -297,10 +311,13 @@ def test_reports_byte_identical_across_thread_counts(tmp_path):
 
 
 def test_import_leaves_scipy_stats_out():
-    # scipy.stats takes about a third of a second to import; nothing needs it
+    # scipy.stats and scipy.optimize take about a third of a second each to
+    # import; nothing needs the first, and monotone_root loads the second
+    # only when it runs
     src = os.path.dirname(os.path.dirname(ex.__file__))
-    code = "import sys, edgerace.cli, edgerace.experiments; print('scipy.stats' in sys.modules)"
+    code = ("import sys, edgerace.cli, edgerace.experiments; "
+            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

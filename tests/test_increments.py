@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
 from edgerace import increments as inc
@@ -211,12 +211,6 @@ def test_sum_tail_mc_nongaussian_batched(unit_uniform):
     assert abs(got.value - oracle) < 4.0 * (got.se + math.sqrt(oracle / 400_000))
 
 
-def test_sum_tail_mc_se_cap(std_gaussian):
-    with pytest.raises(ArithmeticError):
-        inc.sum_tail(std_gaussian, 100, 30.0, "mc-importance",
-                     mc_samples=1000, mc_stream=(5, 2), se_cap=1e-12)
-
-
 def test_tail_ratio_exact_values(std_gaussian):
     got = inc.tail_ratio(std_gaussian, 100, 0.3, 1.0, "gaussian-exact")
     assert got.ratio == pytest.approx(0.7167972621235027, rel=1e-12)
@@ -327,6 +321,29 @@ def test_tail_curve_array_equals_scalar_calls(data):
     ys = draw_array(data, tau * model.mean - 8.0 * sd, tau * model.mean + 12.0 * sd)
     curve = inc.tail_curve(model, tau)
     assert_bitwise(curve(ys), [curve(float(y)) for y in ys])
+
+
+GAUSSIAN_MODELS = tuple(m for m in PROPERTY_MODELS if m.kind == "gaussian")
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.data())
+def test_gaussian_sum_tail_and_step_tail_are_tail_curve(data):
+    # both single-point gaussian tails are the one full-line curve, bit for
+    # bit, and that curve is the closed-form normal tail
+    model = data.draw(hst.sampled_from(GAUSSIAN_MODELS))
+    m, v = model.params
+    tau = data.draw(hst.integers(1, 400))
+    q_top = inc.cumulant(model, model.lambda_hi).mean
+    q = data.draw(hst.floats(m, q_top, exclude_min=True, exclude_max=True))
+    y = q * tau
+    got = inc.sum_tail(model, tau, y, "gaussian-exact")
+    assert got.value == inc.tail_curve(model, tau)(y)
+    assert got.value == float(ndtr(-((y - tau * m) / np.sqrt(tau * v))))
+    ts = draw_array(data, m - 12.0 * math.sqrt(v), m + 12.0 * math.sqrt(v))
+    assert_bitwise(inc.step_tail(model, ts), inc.tail_curve(model, 1)(ts))
+    assert_bitwise(inc.step_tail(model, ts), ndtr(-((ts - m) / np.sqrt(v))))
+    assert type(inc.step_tail(model, float(ts[0]))) is float
 
 
 @settings(max_examples=60, deadline=None)

@@ -74,3 +74,13 @@ def test_fmt17_round_trips_every_finite_float(x):
     text = numerics.fmt17(x)
     assert float(text) == x
     assert np.signbit(float(text)) == np.signbit(x)
+
+
+def test_monotone_root_widens_its_bracket():
+    # the root at 40 lies far right of the starting bracket; widening doubles
+    # its step toward the endpoint nearer the root
+    root = numerics.monotone_root(lambda x: x - 40.0, 0.0, 1.0)
+    assert abs(root - 40.0) <= numerics.ROOT_XTOL
+    assert numerics.monotone_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    with pytest.raises(ValueError):
+        numerics.monotone_root(lambda x: 1.0 + np.exp(x), 0.0, 1.0)

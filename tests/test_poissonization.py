@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 from edgerace import configurations as cf
@@ -36,6 +39,40 @@ def test_expected_count_two_particles(std_gaussian):
     config = cf.from_points([0.0, -1.0])
     got = pz.expected_count_above(config, std_gaussian, 1, 1.0)
     assert got == pytest.approx(0.18140538587963628, rel=1e-12)
+
+
+def test_expected_count_one_step_values(std_gaussian):
+    single = cf.from_points([0.0])
+    assert pz.expected_count_above(single, std_gaussian, 1, 0.0) == pytest.approx(0.5, abs=1e-12)
+    pair = cf.from_points([0.0, -1.0])
+    expected = float(norm.sf(1.0) + norm.sf(2.0))
+    assert pz.expected_count_above(pair, std_gaussian, 1, 1.0) == pytest.approx(expected,
+                                                                               rel=1e-12)
+    vals = pz.expected_count_above(pair, std_gaussian, 1, np.linspace(0, 8, 17))
+    assert np.all(np.diff(vals) <= 0)
+    assert vals[-1] < 1e-8
+
+
+COUNT_MODELS = (inc.gaussian(0.0, 1.0), inc.gaussian(0.5, 0.25),
+                inc.uniform(0.0, 1.0, grid_points=101))
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.data())
+def test_expected_count_array_equals_scalar_calls(data):
+    model = data.draw(hst.sampled_from(COUNT_MODELS))
+    tau = data.draw(hst.integers(1, 40))
+    particles = data.draw(hst.integers(1, 30))
+    config = cf.sample_rem(1.0, 0.0, particles, (709, particles))
+    sd = math.sqrt(tau * model.variance)
+    centre = config.leader + tau * model.mean
+    xs = data.draw(arrays(np.float64, hst.integers(1, 6),
+                          elements=hst.floats(centre - 8.0 * sd, centre + 12.0 * sd)))
+    got = pz.expected_count_above(config, model, tau, xs)
+    singles = [pz.expected_count_above(config, model, tau, float(x)) for x in xs]
+    assert all(type(v) is float for v in singles)
+    assert got.shape == xs.shape
+    assert got.tobytes() == np.array(singles).tobytes()
 
 
 def test_expected_count_mc_backend_validates_curve(std_gaussian):

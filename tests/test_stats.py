@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 from edgerace import configurations as cf
@@ -56,23 +59,46 @@ def test_ks_two_sample_detects_shift():
     assert not st.ks_two_sample(a, b).passes(0.01)
 
 
-def test_empirical_gap_cdf_rem_ranks():
-    ensemble = [cf.sample_rem(1.0, 0.0, 8, (1100, r)) for r in range(8000)]
+def test_ks_distance_rem_gap_ranks():
+    # the k-th gap of REM(1) is exponential with rate k
+    gaps = np.stack([-np.diff(cf.sample_rem(1.0, 0.0, 8, (1100, r)).positions)
+                     for r in range(8000)])
     for k in (1, 2):
-        cdf = st.empirical_gap_cdf(ensemble, k)
-        res = st.ks_distance(cdf, lambda u, k=k: 1.0 - np.exp(-k * u))
+        res = st.ks_distance(gaps[:, k - 1], lambda u, k=k: 1.0 - np.exp(-k * u))
         assert res.passes(0.01)
 
 
-def test_empirical_gap_cdf_point_mass():
-    config = cf.from_points([0.0, -1.0, -3.0])
-    cdf = st.empirical_gap_cdf([config] * 20, 1)
-    assert np.all(cdf.values == 1.0)
+# strictly increasing maps, exact on the integer-valued samples drawn below
+MONOTONE_MAPS = (lambda x: x ** 3 + x, lambda x: 4.0 * x - 7.0)
+SAMPLES = arrays(np.float64, hst.integers(10, 60),
+                 elements=hst.integers(-1000, 1000).map(float))
 
 
-def test_empirical_gap_cdf_depth_check():
-    with pytest.raises(ValueError):
-        st.empirical_gap_cdf([cf.from_points([0.0, -1.0])], 2)
+def _exp_cdf(scale):
+    return lambda x: -np.expm1(-np.maximum(np.asarray(x) + 1000.0, 0.0) / scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SAMPLES, hst.floats(1.0, 3000.0), hst.sampled_from(MONOTONE_MAPS))
+def test_ks_distance_in_unit_interval_and_invariant_under_monotone_maps(sample, scale, g):
+    reference = _exp_cdf(scale)
+    res = st.ks_distance(sample, reference)
+    assert 0.0 <= res.statistic <= 1.0
+    # the same law seen through g: sample g(x), reference F(g^{-1}(y)); the
+    # table inverts g exactly at its knots, which cover every drawn value
+    table = np.arange(-1000.0, 1001.0)
+    mapped = st.ks_distance(g(sample), lambda y: reference(np.interp(y, g(table), table)))
+    assert mapped.statistic == res.statistic
+    assert mapped.critical == res.critical
+
+
+@settings(max_examples=60, deadline=None)
+@given(SAMPLES, SAMPLES, hst.sampled_from(MONOTONE_MAPS))
+def test_ks_two_sample_symmetric_and_invariant_under_monotone_maps(a, b, g):
+    res = st.ks_two_sample(a, b)
+    assert 0.0 <= res.statistic <= 1.0
+    assert st.ks_two_sample(b, a) == res
+    assert st.ks_two_sample(g(a), g(b)) == res
 
 
 def test_mpgfl_estimate_zero_function_is_one():
