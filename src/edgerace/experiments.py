@@ -152,6 +152,13 @@ def parse_spec(data: dict) -> ExperimentSpec:
         if k not in defaults:
             raise SpecError(f"unknown option {k!r} for experiment {name}")
         _check_param(k, v, defaults[k])
+    options = {**defaults, **params}
+    if name == "gaps" and options["k_max"] > options["n_max"] + 1:
+        raise SpecError(f"k_max must be at most n_max + 1, the gaps a replica holds; "
+                        f"got k_max {options['k_max']!r} with n_max {options['n_max']!r}")
+    if name == "rem-stationarity" and options["k_max"] >= options["depth"]:
+        raise SpecError(f"k_max must be below depth, the particles a replica holds; "
+                        f"got k_max {options['k_max']!r} with depth {options['depth']!r}")
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise SpecError("tolerances must be a JSON object")
@@ -244,6 +251,9 @@ def _run_rem_stationarity(spec: ExperimentSpec) -> ExperimentReport:
     def one(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         config = cf.sample_rem(spec.s, 0.0, depth, substream(key, r, 0))
         record = dy.evolve(config, model, substream(key, r, 1))
+        if record.post.size <= k_max:
+            raise ValueError(f"replica {r} keeps {record.post.size} particles after the "
+                             f"step, too few for k_max {k_max}; raise depth")
         pre = -np.diff(config.positions[:k_max + 1])
         post = -np.diff(record.post.positions[:k_max + 1])
         f_pre = np.array([st.mpgfl_term(config, fx, fy) for fx, fy in battery])
@@ -293,6 +303,9 @@ def _run_backward_tilt(spec: ExperimentSpec) -> ExperimentReport:
     def one(r: int) -> tuple[np.ndarray, float]:
         config = cf.sample_rem(spec.s, 0.0, depth, substream(key, r, 0))
         record = dy.evolve(config, model, substream(key, r, 1))
+        if record.post.size < top:
+            raise ValueError(f"replica {r} keeps {record.post.size} particles after the "
+                             f"step, fewer than top {top}; raise depth or lower top")
         attached = record.increments[record.permutation[:top]]
         cert = math.nan
         if r < 5:  # certify the window on a handful of replicas

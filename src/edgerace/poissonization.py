@@ -16,6 +16,15 @@ reused buffer, so memory stays flat in the grid length and the configuration
 size.  Every level's sum is that of its own row, so the results are the same
 bits for any block size.  `expected_count_above` and `z_front` share that one
 blocked sum.
+
+`leader_laws` computes its rows from the middle of the grid outwards, one walk
+up and one walk down, and each walk stops after the first block whose
+outermost row has saturated both laws: exactly 0.0 below, exactly 1.0 above.
+The rows beyond get those constants without being computed.  That is exact
+because the tail T(y - x) does not increase with the level y, so neither does
+the expected count nor minus the log of the exact law, and a row beyond a
+saturated one is saturated too.  Each stop is certified by a computed row, not
+by a bound, so the laws keep every bit of the full row sums.
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ from .numerics import row_blocks
 FRONT_XTOL = 1e-8           # bisection width at which z_front stops
 LEADER_GRID_POINTS = 2001   # levels of the default leader-law grid
 MERGE_TOL = 1e-9            # extracted tilts closer than this merge into one atom
+UNDERFLOW_EXPONENT = 746.0  # leader laws are 0.0 where count and -log exact exceed it
+NEGLIGIBLE_EXPONENT = 2.0 ** -56  # and 1.0 where both are below this one
 
 
 def _tail_blocks(curve: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
@@ -128,6 +139,32 @@ class LeaderLaw:
         object.__setattr__(self, "cdf", cdf)
 
 
+def _walk_rows(curve: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
+               positions: np.ndarray, count: np.ndarray, log_exact: np.ndarray,
+               saturated: Callable[[float, float], bool]) -> int:
+    """Fill count and log_exact along grid, block by block, and stop after the
+    first block whose last row is saturated; returns the number of rows filled.
+    """
+    for rows, p in _tail_blocks(curve, grid, positions):
+        np.clip(p, 0.0, 1.0, out=p)
+        count[rows] = p.sum(axis=1)
+        np.negative(p, out=p)
+        with np.errstate(divide="ignore"):
+            np.log1p(p, out=p)
+        log_exact[rows] = p.sum(axis=1)
+        if saturated(count[rows.stop - 1], log_exact[rows.stop - 1]):
+            return rows.stop
+    return grid.size
+
+
+def _saturated_low(count: float, log_exact: float) -> bool:
+    return count > UNDERFLOW_EXPONENT and log_exact < -UNDERFLOW_EXPONENT
+
+
+def _saturated_high(count: float, log_exact: float) -> bool:
+    return count < NEGLIGIBLE_EXPONENT and -log_exact < NEGLIGIBLE_EXPONENT
+
+
 def leader_laws(config: Configuration, model: inc.IncrementModel, tau: int,
                 grid: np.ndarray | None = None) -> tuple[LeaderLaw, LeaderLaw]:
     """Exact and Poisson-surrogate laws of the leader after tau steps.
@@ -135,7 +172,19 @@ def leader_laws(config: Configuration, model: inc.IncrementModel, tau: int,
     The exact law multiplies per-particle survival factors; the surrogate
     exponentiates minus the expected count.  The surrogate dominates pointwise.
     The default grid spans ten tau-step standard deviations either side of
-    the front prediction in LEADER_GRID_POINTS levels.
+    the front prediction in LEADER_GRID_POINTS levels; a given grid must be
+    a nonempty, nondecreasing 1-d array.
+
+    Rows are computed from the middle of the grid outwards (see the module
+    docstring).  A walk down stops at a row whose count exceeds
+    UNDERFLOW_EXPONENT and whose log exact law lies below its negative; exp
+    of anything below -745.134 (ln of 2**-1075) is 0.0, so the rows below get
+    0.0 for both laws.  A walk up stops at a row whose count and minus log
+    exact law are both under NEGLIGIBLE_EXPONENT; exp(-x) rounds to 1.0 for
+    x < 2**-54 (numpy 2.4's AVX-512 exp for x < 0.81 * 2**-54), so the rows
+    above get 1.0.  The row sums carry a rounding error of about N eps
+    relative for N particles, far inside both margins: 0.87 in the exponent
+    below, a factor of 3.25 above.
     """
     curve = tail_curve(model, tau)
     if grid is None:
@@ -143,15 +192,18 @@ def leader_laws(config: Configuration, model: inc.IncrementModel, tau: int,
         half = 10.0 * np.sqrt(tau * model.variance)
         grid = np.linspace(z - half, z + half, LEADER_GRID_POINTS)
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) >= 0):
+        raise ValueError("grid must be a nonempty, nondecreasing 1-d array")
     log_exact = np.empty(grid.size)
     count = np.empty(grid.size)
-    for rows, p in _tail_blocks(curve, grid, config.positions):
-        np.clip(p, 0.0, 1.0, out=p)
-        count[rows] = p.sum(axis=1)
-        np.negative(p, out=p)
-        with np.errstate(divide="ignore"):
-            np.log1p(p, out=p)
-        log_exact[rows] = p.sum(axis=1)
+    mid = grid.size // 2
+    positions = config.positions
+    hi = mid + _walk_rows(curve, grid[mid:], positions, count[mid:], log_exact[mid:],
+                          _saturated_high)
+    lo = mid - _walk_rows(curve, grid[:mid][::-1], positions, count[:mid][::-1],
+                          log_exact[:mid][::-1], _saturated_low)
+    count[:lo], log_exact[:lo] = np.inf, -np.inf
+    count[hi:], log_exact[hi:] = 0.0, 0.0
     exact = np.exp(log_exact)
     surrogate = np.exp(-count)
     # the surrogate's low end is floored at e^{-N} for an N-particle window,

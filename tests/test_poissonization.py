@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
@@ -281,6 +281,14 @@ def _unblocked_tails(config, model, tau, xs):
     return pz.tail_curve(model, tau)(xs[:, None] - config.positions[None, :])
 
 
+def _unblocked_laws(config, model, tau, grid):
+    """Exact and surrogate CDFs from one full (grid, particle) array, every row summed."""
+    p = np.clip(_unblocked_tails(config, model, tau, grid), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        exact = np.exp(np.log1p(-p).sum(axis=1))
+    return exact, np.exp(-p.sum(axis=1))
+
+
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_blocked_counts_equal_unblocked(case, monkeypatch):
     model, config, block = _block_case(*case, monkeypatch)
@@ -303,10 +311,7 @@ def test_blocked_leader_laws_equal_unblocked(case, monkeypatch):
     half = 10.0 * math.sqrt(tau * model.variance)
     for n in (block + 1, 2 * block + 3, 2001):
         grid = np.linspace(z - half, z + half, n)
-        p = np.clip(_unblocked_tails(config, model, tau, grid), 0.0, 1.0)
-        with np.errstate(divide="ignore"):
-            exact = np.exp(np.log1p(-p).sum(axis=1))
-        surrogate = np.exp(-p.sum(axis=1))
+        exact, surrogate = _unblocked_laws(config, model, tau, grid)
         got_exact, got_surrogate = pz.leader_laws(config, model, tau, grid=grid)
         assert got_exact.cdf.tobytes() == exact.tobytes()
         assert got_surrogate.cdf.tobytes() == surrogate.tobytes()
@@ -335,3 +340,75 @@ def test_leader_laws_memory_is_flat(std_gaussian, rem_config):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+# (particles, tau, grid rows, levels below and above the front in tau-step
+# standard deviations, rows per block); small blocks stop a walk close to
+# where the laws saturate.  The examples put the middle row where both laws
+# are already exactly 0.0, or exactly 1.0, so a walk stops after one block.
+@settings(max_examples=30, deadline=None)
+@given(particles=hst.integers(1000, 3000), tau=hst.integers(1, 32),
+       rows=hst.integers(1, 600), below=hst.floats(0.5, 80.0), above=hst.floats(0.5, 80.0),
+       block=hst.integers(1, 64))
+@example(particles=3000, tau=1, rows=401, below=80.0, above=6.0, block=8)
+@example(particles=3000, tau=32, rows=400, below=8.0, above=80.0, block=8)
+@example(particles=1000, tau=4, rows=2, below=10.0, above=10.0, block=1)
+def test_leader_laws_skip_equals_every_row(particles, tau, rows, below, above, block):
+    config = cf.sample_rem(1.0, 0.0, particles, (712, particles))
+    _assert_laws_equal_every_row(inc.gaussian(0.0, 1.0), config, tau, rows, below, above,
+                                 block)
+
+
+@settings(max_examples=15, deadline=None)
+@given(tau=hst.integers(1, 32), rows=hst.integers(1, 300),
+       below=hst.floats(0.5, 20.0), above=hst.floats(0.5, 20.0), block=hst.integers(1, 64))
+def test_leader_laws_skip_equals_every_row_uniform(tau, rows, below, above, block):
+    config = cf.sample_rem(1.0, 0.0, 40, (713,))
+    _assert_laws_equal_every_row(inc.uniform(0.0, 1.0, grid_points=101), config, tau, rows,
+                                 below, above, block)
+
+
+def _assert_laws_equal_every_row(model, config, tau, rows, below, above, block):
+    sd = math.sqrt(tau * model.variance)
+    z = pz.z_front(config, model, tau)
+    grid = np.linspace(z - below * sd, z + above * sd, rows)
+    exact, surrogate = _unblocked_laws(config, model, tau, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "BLOCK_CELLS", block * config.size)
+        if exact[0] > 1e-6 or exact[-1] < 1 - 1e-6 or surrogate[-1] < 1 - 1e-6:
+            with pytest.raises(ValueError, match="grid too narrow"):
+                pz.leader_laws(config, model, tau, grid=grid)
+            return
+        got_exact, got_surrogate = pz.leader_laws(config, model, tau, grid=grid)
+    assert got_exact.cdf.tobytes() == exact.tobytes()
+    assert got_surrogate.cdf.tobytes() == surrogate.tobytes()
+
+
+def test_leader_laws_skip_saturated_cells(std_gaussian, rem_config, monkeypatch):
+    # at tau 32 most of the default grid is saturated on one side or the other
+    tau = 32
+    z = pz.z_front(rem_config, std_gaussian, tau)
+    half = 10.0 * math.sqrt(tau)
+    grid = np.linspace(z - half, z + half, pz.LEADER_GRID_POINTS)
+    seen = []
+    curve = pz.tail_curve
+
+    def counted_tail_curve(model, tau):
+        inner = curve(model, tau)
+
+        def counted(y):
+            seen.append(np.size(y))
+            return inner(y)
+        return counted
+
+    monkeypatch.setattr(pz, "tail_curve", counted_tail_curve)
+    pz.leader_laws(rem_config, std_gaussian, tau, grid=grid)
+    assert sum(seen) < 0.6 * grid.size * rem_config.size
+
+
+def test_leader_laws_unsorted_grid_rejected(std_gaussian, rem_config):
+    unsorted = np.linspace(-10.0, 20.0, 201)
+    unsorted[[50, 51]] = unsorted[[51, 50]]
+    for grid in (unsorted, np.array([]), unsorted.reshape(3, 67)):
+        with pytest.raises(ValueError, match="nondecreasing 1-d"):
+            pz.leader_laws(rem_config, std_gaussian, 8, grid=grid)
