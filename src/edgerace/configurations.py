@@ -31,9 +31,9 @@ class Configuration:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 1 or pos.size == 0:
             raise ValueError("a configuration needs at least one particle")
-        if np.any(np.diff(pos) > 0):
+        if (pos[1:] > pos[:-1]).any():
             raise ValueError("positions must be sorted in descending order")
-        if not np.all(np.isfinite(pos)):
+        if not np.isfinite(pos).all():
             raise ValueError("positions must be finite")
         if self.window_depth < 0:
             raise ValueError("window depth must be nonnegative")
@@ -101,5 +101,9 @@ def sample_from_tail_intensity(intensity: TailIntensity, depth: int,
 
 def sample_rem(s: float, z: float, depth: int, stream: StreamKey) -> Configuration:
     """Top `depth` points of the Poisson process with the exponential intensity
-    of rate s anchored at z."""
+    of rate s anchored at z.
+
+    The intensity is built once per (s, z) (`exponential_intensity` caches
+    it), so a replica costs its stream, its draws and one inversion.
+    """
     return sample_from_tail_intensity(exponential_intensity(s, z), depth, stream)

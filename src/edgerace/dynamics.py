@@ -10,6 +10,7 @@ truncation never touches their statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -46,23 +47,24 @@ def evolve(config: Configuration, model: inc.IncrementModel,
     moved = config.positions + h
     order = np.argsort(-moved)
     ranked = moved[order]
-    if np.any(ranked[1:] == ranked[:-1]):
+    if (ranked[1:] == ranked[:-1]).any():
         # only ties make the default sort's order differ from a stable one's;
         # equal positions keep their pre-rank order
         order = np.argsort(-moved, kind="stable")
         ranked = moved[order]
-    if np.isfinite(config.window_depth):
-        keep = ranked >= ranked[0] - config.window_depth
-    else:
-        keep = np.ones(n, dtype=bool)
-    post = Configuration(ranked[keep], config.window_depth)
+    depth = config.window_depth
+    kept = n
+    if math.isfinite(depth):
+        # ranked descends (NaN sorts last and compares False), so the
+        # particles within the window are a prefix
+        kept = int(np.count_nonzero(ranked >= ranked[0] - depth))
     return EvolutionRecord(
         pre=config,
-        post=post,
+        post=Configuration(ranked[:kept], depth),
         increments=h,
-        permutation=order[keep],
+        permutation=order[:kept],
         front_displacement=float(ranked[0] - config.positions[0]),
-        dropped=int(n - keep.sum()),
+        dropped=n - kept,
     )
 
 

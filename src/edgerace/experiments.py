@@ -207,6 +207,12 @@ def _below_metric(name: str, value: float, ceiling: float) -> Metric:
 # experiment bodies
 
 
+def _spacings(positions: np.ndarray) -> np.ndarray:
+    """Gaps x_k - x_{k+1} between consecutive ranks, bit for bit -np.diff
+    (a tie gives -0.0) without its per-call wrapper."""
+    return -(positions[1:] - positions[:-1])
+
+
 def _run_velocity(spec: ExperimentSpec) -> ExperimentReport:
     model = inc.model_from_dict(spec.model)
     tau = int(spec.param("taus")[0])
@@ -248,14 +254,16 @@ def _run_rem_stationarity(spec: ExperimentSpec) -> ExperimentReport:
     sigmas = spec.tolerance("battery_sigmas")
     key = spec.key()
 
-    def one(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def one(r: int) -> tuple[np.ndarray, ...]:
         config = cf.sample_rem(spec.s, 0.0, depth, substream(key, r, 0))
         record = dy.evolve(config, model, substream(key, r, 1))
         if record.post.size <= k_max:
             raise ValueError(f"replica {r} keeps {record.post.size} particles after the "
                              f"step, too few for k_max {k_max}; raise depth")
-        pre = -np.diff(config.positions[:k_max + 1])
-        post = -np.diff(record.post.positions[:k_max + 1])
+        pre = _spacings(config.positions[:k_max + 1])
+        post = _spacings(record.post.positions[:k_max + 1])
+        if not battery:
+            return pre, post
         f_pre = np.array([st.mpgfl_term(config, fx, fy) for fx, fy in battery])
         f_post = np.array([st.mpgfl_term(record.post, fx, fy) for fx, fy in battery])
         return pre, post, f_pre, f_post
@@ -512,7 +520,7 @@ def _run_gaps(spec: ExperimentSpec) -> ExperimentReport:
 
     def one(r: int) -> np.ndarray:
         config = cf.sample_rem(spec.s, 0.0, n_max + 2, substream(key, r))
-        return -np.diff(config.positions)
+        return _spacings(config.positions)
 
     gaps = np.stack(replica_map(one, reps, spec.threads))
     metrics = []

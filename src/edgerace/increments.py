@@ -474,14 +474,15 @@ def tail_ratio(model: IncrementModel, tau: int, q: float, x: float, backend: str
 def tail_curve(model: IncrementModel, tau: int) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized y -> P(S_tau >= y) over the whole line; the model picks the formula.
 
-    Gaussian models get the exact normal tail.  Every other kind gets the
-    sharp-tail approximation, which is only defined beyond the central region,
-    so the curve blends it with the central-limit tail (log-linear in the
-    standardized exceedance) between two and four tilted standard deviations,
-    and mirrors the construction on the lower tail.  The blend serves
-    full-line surrogate laws; strict single-point queries, which reject
-    targets outside the attainable range instead of clipping them, are
-    `sum_tail` in this module.
+    Gaussian models get the exact normal tail.  Every other kind gets, above
+    the mean (q = y / tau > mean), the sharp-tail approximation blended with
+    the central-limit tail (log-linear in the standardized exceedance) between
+    two and four tilted standard deviations, and 0.0 at or beyond the
+    supported maximum; at or below the mean it is the plain central-limit
+    tail ndtr(-x), with no sharp-tail term.  The blend serves full-line
+    surrogate laws; strict single-point queries, which reject targets outside
+    the attainable range instead of clipping them, are `sum_tail` in this
+    module.
     """
     if model.kind == "gaussian":
         m, v = model.params

@@ -21,7 +21,7 @@ range of `gap_functional`, take it as is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -194,7 +194,7 @@ class TailIntensity:
         safeguarded Newton on log R (`_inverse_newton`).
         """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(ts <= 0):
+        if (ts <= 0).any():
             raise ValueError("levels must be positive")
         rho = self.rho
         if rho.n_atoms == 1:
@@ -262,8 +262,15 @@ def intensity_from_measure(rho: LaplaceMeasure, offset: float = 0.0) -> TailInte
     return TailIntensity(rho, float(offset))
 
 
+@lru_cache(maxsize=64)
 def exponential_intensity(s: float, z: float = 0.0) -> TailIntensity:
-    """Pure exponential tail e^{-s (x - z)}."""
+    """Pure exponential tail e^{-s (x - z)}.
+
+    Built once per (s, z) and shared: the intensity is frozen and its arrays
+    are read-only, so a replica loop pays for the construction only once.
+    The cache compares arguments by value, so z = -0.0 returns the
+    intensity anchored at 0.0 when that one was built first.
+    """
     if s <= 0:
         raise ValueError("rate must be positive")
     return TailIntensity(point_mass(s, 1.0), float(z))

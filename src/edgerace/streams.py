@@ -28,12 +28,12 @@ def stream(*parts: int) -> StreamKey:
 
 def substream(key: Sequence[int], *indices: int) -> StreamKey:
     """Derive a child key by appending indices to the parent key."""
-    return tuple(int(k) for k in key) + tuple(int(i) for i in indices)
+    return (*map(int, key), *map(int, indices))
 
 
 def generator(key: Sequence[int]) -> np.random.Generator:
     """PCG64 generator seeded from the key via SeedSequence entropy pooling."""
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+    return np.random.default_rng(np.random.SeedSequence(list(map(int, key))))
 
 
 def thread_count(override: int | None = None) -> int:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.stats import chi2
 
 from edgerace import configurations as cf
@@ -23,6 +25,39 @@ def test_from_points_single_and_duplicates():
 def test_from_points_empty_rejected():
     with pytest.raises(ValueError):
         cf.from_points([])
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324,
+               1e308, -1e308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_configuration_checks_match_diff_predicates(data):
+    # the checks raise exactly when np.diff and np.all(np.isfinite) would say so
+    values = data.draw(hst.lists(hst.sampled_from(EDGE_FLOATS) | hst.floats(), min_size=1,
+                                 max_size=8))
+    pos = np.array(values, dtype=float)
+    shape = data.draw(hst.sampled_from(["raw", "descending", "ascending_pair", "equal_pair"]))
+    if shape != "raw":
+        pos = np.sort(pos)[::-1].copy()  # descending, NaN first
+        if pos.size > 1 and shape != "descending":
+            i = data.draw(hst.integers(0, pos.size - 2))
+            if shape == "ascending_pair":
+                pos[i], pos[i + 1] = pos[i + 1], pos[i]
+            else:
+                pos[i + 1] = pos[i]
+    depth = data.draw(hst.sampled_from([0.0, -0.0, -1e-300, -1.0, 2.5, math.inf, math.nan])
+                      | hst.floats())
+    with np.errstate(invalid="ignore", over="ignore"):
+        rejected = (np.any(np.diff(pos) > 0) or not np.all(np.isfinite(pos))
+                    or depth < 0)
+    if rejected:
+        with pytest.raises(ValueError):
+            cf.Configuration(pos.copy(), depth)
+    else:
+        config = cf.Configuration(pos.copy(), depth)
+        assert config.positions.tobytes() == pos.tobytes()
 
 
 def test_gaps_values():

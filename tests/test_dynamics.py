@@ -8,6 +8,7 @@ from scipy.stats import norm
 
 from edgerace import configurations as cf
 from edgerace import dynamics as dy
+from edgerace import experiments as ex
 from edgerace import increments as inc
 from edgerace import stats as st
 from edgerace.streams import substream
@@ -71,6 +72,78 @@ def test_evolve_permutation_matches_increments(data):
     assert record.post.positions.tobytes() == moved.tobytes()
     assert np.unique(perm).size == perm.size and np.all((0 <= perm) & (perm < n))
     assert record.dropped == n - record.post.size
+
+
+def _reference_rem(s, depth, key):
+    """sample_rem positions as first written: a fresh one-atom intensity inverted
+    at cumulative exponential arrivals."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+    arrivals = np.cumsum(rng.exponential(size=depth))
+    return 0.0 - np.log(arrivals / 1.0) / s
+
+
+def _reference_evolve(positions, window_depth, h):
+    """evolve as first written: boolean-mask window, np.any/np.isfinite checks."""
+    n = positions.size
+    moved = positions + h
+    order = np.argsort(-moved)
+    ranked = moved[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(-moved, kind="stable")
+        ranked = moved[order]
+    if np.isfinite(window_depth):
+        keep = ranked >= ranked[0] - window_depth
+    else:
+        keep = np.ones(n, dtype=bool)
+    return (ranked[keep], order[keep], float(ranked[0] - positions[0]),
+            int(n - keep.sum()))
+
+
+def _assert_replica_bitwise(record, h, window_depth):
+    post, perm, front, dropped = _reference_evolve(record.pre.positions, window_depth, h)
+    assert record.increments.tobytes() == h.tobytes()
+    assert record.post.positions.tobytes() == post.tobytes()
+    assert record.post.window_depth == window_depth
+    assert record.permutation.tobytes() == perm.tobytes()
+    assert record.front_displacement == front
+    assert record.dropped == dropped
+    # the gaps the replica experiments record, zero signs included
+    assert ex._spacings(record.post.positions).tobytes() == (-np.diff(post)).tobytes()
+    return dropped
+
+
+@pytest.mark.parametrize("seed", [401, 402, 403, 811])
+def test_replica_path_matches_reference_bitwise(std_gaussian, seed):
+    dropped = 0
+    for r in range(3):
+        key = (seed, r)
+        config = cf.sample_rem(1.0, 0.0, 3000, substream(key, 0))
+        positions = _reference_rem(1.0, 3000, substream(key, 0))
+        assert config.positions.tobytes() == positions.tobytes()
+        assert config.window_depth == float(positions[0] - positions[-1])
+        assert (ex._spacings(config.positions[:6]).tobytes()
+                == (-np.diff(positions[:6])).tobytes())
+        h = np.random.default_rng(np.random.SeedSequence([seed, r, 1])).normal(
+            0.0, 1.0, size=3000)
+        finite = dy.evolve(config, std_gaussian, substream(key, 1))
+        dropped += _assert_replica_bitwise(finite, h, config.window_depth)
+        infinite = dy.evolve(cf.Configuration(config.positions, np.inf), std_gaussian,
+                             substream(key, 1))
+        assert _assert_replica_bitwise(infinite, h, np.inf) == 0
+    assert dropped > 0  # the finite window did drop particles
+
+
+@pytest.mark.parametrize("window_depth", [np.inf, 2.0])
+def test_replica_path_with_ties_matches_reference_bitwise(std_gaussian, window_depth):
+    # 300 particles land on six integers: ties after the move, and with the
+    # finite window the three lowest landings fall out of it
+    config = cf.Configuration(-np.arange(300.0), window_depth)
+    h = (np.arange(300) * 7) % 6 - config.positions
+    record = dy.evolve(config, std_gaussian, increments=h)
+    dropped = _assert_replica_bitwise(record, h, window_depth)
+    assert dropped == (150 if np.isfinite(window_depth) else 0)
+    zero = ex._spacings(record.post.positions) == 0.0
+    assert zero.sum() > 0 and np.all(np.signbit(ex._spacings(record.post.positions)[zero]))
 
 
 def test_evolve_single_particle(std_gaussian):
