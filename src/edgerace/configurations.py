@@ -22,13 +22,17 @@ from .streams import StreamKey, generator
 
 @dataclass(frozen=True)
 class Configuration:
-    """Descending positions; faithful for all particles in [x1 - window_depth, x1]."""
+    """Descending positions; faithful for all particles in [x1 - window_depth, x1].
+
+    Given a float64 array, the instance shares its memory and holds a
+    read-only view of it; the caller's array stays writable.
+    """
 
     positions: np.ndarray
     window_depth: float
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
+        pos = np.asarray(self.positions, dtype=float).view()
         if pos.ndim != 1 or pos.size == 0:
             raise ValueError("a configuration needs at least one particle")
         if (pos[1:] > pos[:-1]).any():

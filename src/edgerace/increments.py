@@ -14,7 +14,8 @@ otherwise) and the Chernoff upper bound on the log-tail (`log_tail_bound`).
 The Bahadur-Rao sharp-tail terms behind all three are built in one place,
 `_sharp_terms`.  The gaussian tail probability has one formula, in
 `tail_curve`, which the `gaussian-exact` backend and the gaussian `step_tail`
-evaluate.
+evaluate.  `tail_curve` (once per curve it builds) and `log_tail_bound` import
+`scipy.special` when they run, so importing the package does not load it.
 
 Every operation is pure; sampling takes an explicit stream key.
 """
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .numerics import logsumexp
 from .streams import StreamKey, generator, substream
@@ -64,7 +64,11 @@ class TailRatio(NamedTuple):
 
 @dataclass(frozen=True)
 class IncrementModel:
-    """Increment law with quadrature grid and declared safe tilt range."""
+    """Increment law with quadrature grid and declared safe tilt range.
+
+    Given float64 arrays, the instance shares their memory and holds
+    read-only views of them; the caller's arrays stay writable.
+    """
 
     kind: str                 # "gaussian" | "uniform" | "tabulated"
     grid: np.ndarray          # uniform, ascending
@@ -76,8 +80,8 @@ class IncrementModel:
     params: tuple[float, ...]  # (m, var) / (lo, hi) / ()
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        d = np.asarray(self.density, dtype=float)
+        g = np.asarray(self.grid, dtype=float).view()
+        d = np.asarray(self.density, dtype=float).view()
         if g.ndim != 1 or g.size < 5 or d.shape != g.shape:
             raise ValueError("grid and density must be matching 1-d arrays")
         h = np.diff(g)
@@ -484,6 +488,7 @@ def tail_curve(model: IncrementModel, tau: int) -> Callable[[np.ndarray], np.nda
     the attainable range instead of clipping them, are `sum_tail` in this
     module.
     """
+    from scipy.special import log_ndtr, ndtr  # here, once per curve built, not per call
     if model.kind == "gaussian":
         m, v = model.params
         scale = np.sqrt(tau * v)
@@ -525,6 +530,7 @@ def log_tail_bound(model: IncrementModel, tau: int, t: np.ndarray) -> np.ndarray
     mean, exactly -inf beyond the supported maximum, and the optimized
     Chernoff exponent in between (clipped at the safe tilt range).
     """
+    from scipy.special import log_ndtr  # here, so importing the package skips scipy
     t = np.asarray(t, dtype=float)
     if model.kind == "gaussian":
         m, v = model.params

@@ -16,6 +16,9 @@ read off the atoms, refined by safeguarded Newton on log R in row blocks of at
 most `numerics.BLOCK_CELLS` cells, so its memory stays flat in the number of
 levels and atoms.  Callers that need only a bracket, such as the quadrature
 range of `gap_functional`, take it as is.
+
+`expected_gap` imports scipy's `gammaln` when it runs, so importing the
+package does not load `scipy.special`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import increments as inc
 from .numerics import adaptive_gauss, logsumexp, monotone_root, row_blocks
@@ -50,14 +52,18 @@ CORPUS_MIN_WEIGHT = 1e-3
 
 @dataclass(frozen=True)
 class LaplaceMeasure:
-    """Atoms (u_i, w_i) with distinct nonnegative u, sorted ascending."""
+    """Atoms (u_i, w_i) with distinct nonnegative u, sorted ascending.
+
+    Given float64 arrays, the instance shares their memory and holds
+    read-only views of them; the caller's arrays stay writable.
+    """
 
     u: np.ndarray
     w: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        w = np.asarray(self.w, dtype=float)
+        u = np.asarray(self.u, dtype=float).view()
+        w = np.asarray(self.w, dtype=float).view()
         if u.ndim != 1 or u.shape != w.shape or u.size == 0:
             raise ValueError("u and w must be matching nonempty 1-d arrays")
         if np.any(u < 0):
@@ -374,6 +380,7 @@ def expected_gap(f: TailIntensity | LaplaceMeasure, n: int) -> float:
     Integrates F^n e^{-F} / n! over time; the range is chosen so the
     discarded tails contribute provably less than GAP_REMAINDER_TOL.
     """
+    from scipy.special import gammaln  # here, so importing the package skips scipy
     f = _coerce(f)
     if n < 1:
         raise ValueError("rank must be a positive integer")

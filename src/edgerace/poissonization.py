@@ -122,13 +122,19 @@ def z_front(config: Configuration, model: inc.IncrementModel, tau: int) -> float
 
 @dataclass(frozen=True)
 class LeaderLaw:
+    """CDF of the leader after tau steps on a grid, exact or Poisson surrogate.
+
+    Given float64 arrays, the instance shares their memory and holds
+    read-only views of them; the caller's arrays stay writable.
+    """
+
     grid: np.ndarray
     cdf: np.ndarray
     kind: str  # "exact" | "surrogate"
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        cdf = np.asarray(self.cdf, dtype=float)
+        grid = np.asarray(self.grid, dtype=float).view()
+        cdf = np.asarray(self.cdf, dtype=float).view()
         if grid.shape != cdf.shape or grid.ndim != 1:
             raise ValueError("grid and cdf must be matching 1-d arrays")
         if np.any(np.diff(cdf) < -1e-12):

@@ -9,7 +9,6 @@ only on the key material, never on wall clock, thread count or call order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -56,5 +55,6 @@ def replica_map(fn: Callable[[int], T], n: int, threads: int | None = None) -> l
     workers = thread_count(threads)
     if workers <= 1 or n <= 1:
         return [fn(r) for r in range(n)]
+    from concurrent.futures import ThreadPoolExecutor  # only the threaded branch pays for it
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))

@@ -7,7 +7,9 @@ from hypothesis import strategies as hst
 from scipy.stats import chi2
 
 from edgerace import configurations as cf
+from edgerace import increments as inc
 from edgerace import laplace as lp
+from edgerace import poissonization as pz
 from edgerace import stats as st
 
 
@@ -58,6 +60,28 @@ def test_configuration_checks_match_diff_predicates(data):
     else:
         config = cf.Configuration(pos.copy(), depth)
         assert config.positions.tobytes() == pos.tobytes()
+
+
+_LINE = np.linspace(0.0, 1.0, 11)
+
+
+@pytest.mark.parametrize("build, arrays, fields", [
+    (lambda pos: cf.Configuration(pos, 1.0), [_LINE[::-1]], ["positions"]),
+    (lp.LaplaceMeasure, [_LINE + 0.5, np.ones(11)], ["u", "w"]),
+    (lambda grid, cdf: pz.LeaderLaw(grid, cdf, "exact"), [_LINE, _LINE], ["grid", "cdf"]),
+    (inc.tabulated, [_LINE, np.ones(11)], ["grid", "density"]),
+], ids=["Configuration", "LaplaceMeasure", "LeaderLaw", "IncrementModel"])
+def test_instance_freezes_a_view_not_the_callers_array(build, arrays, fields):
+    given = [a.copy() for a in arrays]
+    instance = build(*given)
+    for a, original, name in zip(given, arrays, fields):
+        held = getattr(instance, name)
+        assert a.flags.writeable and not held.flags.writeable
+        assert np.shares_memory(held, a)  # a view, not a copy
+        np.testing.assert_array_equal(held, original)
+        a[0] = -1.0  # the caller may still write to its own array
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = -1.0
 
 
 def test_gaps_values():

@@ -381,14 +381,48 @@ def test_reports_byte_identical_across_thread_counts(tmp_path):
     assert files[1] == files[8]
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats and scipy.optimize take about a third of a second each to
-    # import; nothing needs the first, and monotone_root loads the second
-    # only when it runs
+_SCIPY_GUARD = """
+import contextlib, io, json, os, sys
+import numpy as np
+from edgerace import cli, increments
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(name, config):
+    path = os.path.join(sys.argv[1], name + ".json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(["run", path, "--out", os.path.join(sys.argv[1], name)])
+
+seen = {"import": scipy_modules()}
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["list"] = [cli.main(["list"]), scipy_modules()]
+seen["bad"] = [run("bad", {"experiment": "gaps", "seed": 3, "ensemble": 0}), scipy_modules()]
+seen["rem"] = [run("rem", {"experiment": "rem-stationarity", "seed": 3, "ensemble": 300,
+                           "depth": 300, "k_max": 2}), scipy_modules()]
+seen["velocity"] = [run("velocity", {"experiment": "velocity", "seed": 11, "ensemble": 60,
+                                     "depth": 2000, "taus": [8]}), scipy_modules()]
+increments.tail_curve(increments.gaussian(0.0, 1.0), 4)(np.array([0.0]))
+seen["tail_curve"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_import_leaves_scipy_stats_out(tmp_path):
+    # importing scipy.special takes about 0.3 s and scipy.stats or
+    # scipy.optimize about as much again; the package imports each where a
+    # function needs it, so these runs load no scipy module at all
     src = os.path.dirname(os.path.dirname(ex.__file__))
-    code = ("import sys, edgerace.cli, edgerace.experiments; "
-            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False False"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    seen = json.loads(out.stdout)
+    assert seen["import"] == []
+    assert seen["list"] == [0, []]
+    assert seen["bad"] == [2, []]
+    assert seen["rem"] == [0, []]
+    assert seen["velocity"] == [0, []]
+    assert "scipy.special" in seen["tail_curve"]
+    assert not any(m.startswith(("scipy.stats", "scipy.optimize")) for m in seen["tail_curve"])
