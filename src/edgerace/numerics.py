@@ -3,9 +3,12 @@
 The quadrature and the root finder have no knobs beyond what their callers
 set: `gauss_panels` uses GAUSS_ORDER nodes per panel, `adaptive_gauss` starts
 from GAUSS_START_PANELS panels, and `monotone_root` widens its bracket at most
-BRACKET_STEPS times and refines to ROOT_XTOL.  `monotone_root` imports scipy's
-`brentq` when it runs, so importing the package does not load
-`scipy.optimize`.
+BRACKET_STEPS times and refines to ROOT_XTOL.  The refinement is Brent's
+method (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4),
+copied statement by statement from the loop in scipy's `Zeros/brentq.c`: it
+returns bit-for-bit the root `scipy.optimize.brentq` returns on the widened
+bracket, without loading `scipy.optimize`, and it starts from the end values
+the widening computed instead of evaluating them again.
 
 `logsumexp` is the package's only log-sum-exp.  For nonempty real input it
 returns results bit-for-bit identical to `scipy.special.logsumexp` (scipy 1.17's
@@ -21,6 +24,7 @@ block size.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterator
 
 import numpy as np
@@ -30,7 +34,8 @@ GAUSS_ORDER = 32        # Gauss-Legendre nodes per panel
 GAUSS_START_PANELS = 8  # panels of adaptive_gauss's first pass
 ROOT_XTOL = 1e-14       # absolute root width of monotone_root
 BRACKET_STEPS = 200     # widening steps monotone_root takes before it gives up
-_BRENTQ_RTOL = 8.9e-16  # slightly above the 4*eps minimum scipy accepts
+_BRENTQ_RTOL = 8.9e-16  # relative root width of monotone_root's Brent loop
+_BRENTQ_ITER = 100      # iterations of the Brent loop before it gives up
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
@@ -76,27 +81,83 @@ def monotone_root(fn: Callable[[float], float], lo: float, hi: float) -> float:
     changes sign.
 
     Each widening step doubles and extends toward the endpoint already closer
-    to the root, at most BRACKET_STEPS times.
+    to the root, at most BRACKET_STEPS times; ValueError if no sign change is
+    found or fn returns NaN.  Brent's method then refines the bracket from the
+    end values the widening computed, and raises ArithmeticError if it has not
+    converged after _BRENTQ_ITER iterations.
     """
-    from scipy.optimize import brentq  # here, so importing the package skips scipy.optimize
+    def f(x: float) -> float:
+        fx = float(fn(x))
+        if math.isnan(fx):
+            raise ValueError(f"function value at x={x:.6g} is NaN")
+        return fx
 
-    flo, fhi = fn(lo), fn(hi)
+    flo, fhi = f(lo), f(hi)
     step = max(hi - lo, 1e-6)
     for _ in range(BRACKET_STEPS):
         if flo == 0.0:
             return float(lo)
         if fhi == 0.0:
             return float(hi)
-        if np.sign(flo) != np.sign(fhi):
-            return float(brentq(fn, lo, hi, xtol=ROOT_XTOL, rtol=_BRENTQ_RTOL))
+        if (flo < 0.0) != (fhi < 0.0):
+            return _brent(f, float(lo), float(hi), flo, fhi)
         step *= 2.0
         if abs(fhi) < abs(flo):
             hi += step
-            fhi = fn(hi)
+            fhi = f(hi)
         else:
             lo -= step
-            flo = fn(lo)
+            flo = f(lo)
     raise ValueError("no sign change found while expanding bracket")
+
+
+def _brent(f: Callable[[float], float], xpre: float, xcur: float,
+           fpre: float, fcur: float) -> float:
+    # scipy's brentq.c loop, statement by statement and in its order of
+    # operations, entered with f(xpre) and f(xcur) nonzero and of opposite
+    # sign; xblk is the bracket's other end, scur the step just taken
+    xtol, rtol = ROOT_XTOL, _BRENTQ_RTOL
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENTQ_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C's division gives an infinite or NaN step, which the test
+                # below rejects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise ArithmeticError(
+        f"root refinement did not converge in {_BRENTQ_ITER} iterations (last x={xcur:.17g})")
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:

@@ -104,6 +104,8 @@ def z_front(config: Configuration, model: inc.IncrementModel, tau: int) -> float
         if f(hi) < 0:
             break
         hi += 4.0 * scale
+    else:
+        raise ValueError("expected count never drops below one: no front crossing to bracket")
     lo = hi
     for _ in range(200):
         lo -= 4.0 * scale

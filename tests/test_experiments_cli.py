@@ -14,6 +14,7 @@ from hypothesis import strategies as hst
 
 from edgerace import cli
 from edgerace import experiments as ex
+from edgerace import numerics
 
 GAUSSIAN = {"kind": "gaussian", "mean": 0.0, "variance": 1.0}
 
@@ -310,6 +311,21 @@ def test_cli_unknown_experiment(tmp_path, capsys):
     assert not out_dir.exists()  # no partial output
 
 
+def test_cli_root_solve_that_does_not_converge_is_usage_error(tmp_path, capsys, monkeypatch):
+    # one Brent iteration cannot settle a convolution shift; the run must end
+    # with a one-line error and exit 2, not a traceback
+    monkeypatch.setattr(numerics, "_BRENTQ_ITER", 1)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"experiment": "contraction", "seed": 3,
+                                  "model": GAUSSIAN, "corpus": 2}))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("edgerace: root refinement did not converge")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_cli_bad_json(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text("{not json")
@@ -404,6 +420,10 @@ seen["rem"] = [run("rem", {"experiment": "rem-stationarity", "seed": 3, "ensembl
                            "depth": 300, "k_max": 2}), scipy_modules()]
 seen["velocity"] = [run("velocity", {"experiment": "velocity", "seed": 11, "ensemble": 60,
                                      "depth": 2000, "taus": [8]}), scipy_modules()]
+for kind, model in (("gaussian", {"kind": "gaussian", "mean": 0.0, "variance": 1.0}),
+                    ("uniform", {"kind": "uniform", "lo": 0.0, "hi": 1.0})):
+    seen["contraction_" + kind] = [run("contraction_" + kind, {
+        "experiment": "contraction", "seed": 5, "model": model, "corpus": 2}), scipy_modules()]
 increments.tail_curve(increments.gaussian(0.0, 1.0), 4)(np.array([0.0]))
 seen["tail_curve"] = scipy_modules()
 print(json.dumps(seen))
@@ -412,8 +432,9 @@ print(json.dumps(seen))
 
 def test_import_leaves_scipy_stats_out(tmp_path):
     # importing scipy.special takes about 0.3 s and scipy.stats or
-    # scipy.optimize about as much again; the package imports each where a
-    # function needs it, so these runs load no scipy module at all
+    # scipy.optimize about as much again; the package imports scipy.special
+    # where a function needs it and never imports scipy.stats or
+    # scipy.optimize, so these runs load no scipy module at all
     src = os.path.dirname(os.path.dirname(ex.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)], env=env,
@@ -424,5 +445,7 @@ def test_import_leaves_scipy_stats_out(tmp_path):
     assert seen["bad"] == [2, []]
     assert seen["rem"] == [0, []]
     assert seen["velocity"] == [0, []]
+    assert seen["contraction_gaussian"] == [0, []]
+    assert seen["contraction_uniform"] == [0, []]
     assert "scipy.special" in seen["tail_curve"]
     assert not any(m.startswith(("scipy.stats", "scipy.optimize")) for m in seen["tail_curve"])

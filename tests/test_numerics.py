@@ -1,12 +1,18 @@
+import math
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import brentq
 
+from edgerace import increments as inc
+from edgerace import laplace as lp
 from edgerace import numerics
 
 FINITE = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False, width=64)
@@ -84,3 +90,134 @@ def test_monotone_root_widens_its_bracket():
     assert numerics.monotone_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
     with pytest.raises(ValueError):
         numerics.monotone_root(lambda x: 1.0 + np.exp(x), 0.0, 1.0)
+
+
+def brentq_on_widened_bracket(fn, lo, hi):
+    """The reference: monotone_root's widening followed by scipy's brentq on
+    the widened bracket.  Returns the root and whether brentq ran."""
+    flo, fhi = fn(lo), fn(hi)
+    step = max(hi - lo, 1e-6)
+    for _ in range(numerics.BRACKET_STEPS):
+        if flo == 0.0:
+            return float(lo), False
+        if fhi == 0.0:
+            return float(hi), False
+        if np.sign(flo) != np.sign(fhi):
+            return float(brentq(fn, lo, hi, xtol=numerics.ROOT_XTOL,
+                                rtol=numerics._BRENTQ_RTOL)), True
+        step *= 2.0
+        if abs(fhi) < abs(flo):
+            hi += step
+            fhi = fn(hi)
+        else:
+            lo -= step
+            flo = fn(lo)
+    raise ValueError("no sign change found while expanding bracket")
+
+
+def check_against_brentq(fn, lo, hi):
+    ours, theirs = [], []
+    try:
+        ref, ran_brentq = brentq_on_widened_bracket(lambda x: theirs.append(x) or fn(x), lo, hi)
+    except ValueError:
+        # both ends on one flat tail of a saturating function: no bracket
+        with pytest.raises(ValueError, match="no sign change"):
+            numerics.monotone_root(fn, lo, hi)
+        return
+    root = numerics.monotone_root(lambda x: ours.append(x) or fn(x), lo, hi)
+    assert type(root) is float
+    assert np.float64(root).tobytes() == np.float64(ref).tobytes()
+    # brentq evaluates the widened bracket's ends again; Brent's loop reuses them
+    assert len(ours) == len(theirs) - 2 * ran_brentq
+
+
+CONVOLUTION_MODELS = {"gaussian": inc.gaussian(0.0, 1.0), "uniform": inc.uniform(0.0, 1.0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(CONVOLUTION_MODELS)))
+def test_monotone_root_is_brentq_on_convolution_shifts(seed, model):
+    solves = []
+    real = lp.monotone_root
+
+    def capture(fn, lo, hi):
+        solves.append((fn, lo, hi))
+        return real(fn, lo, hi)
+
+    with mock.patch.object(lp, "monotone_root", capture):
+        for rho in lp.random_corpus(3, (seed, 0)):
+            lp.convolution_shift(rho, CONVOLUTION_MODELS[model])
+    assert len(solves) == 3
+    for fn, lo, hi in solves:
+        check_against_brentq(fn, lo, hi)
+
+
+# increasing functions, each exactly 0 at x = 0; flat (clip) and saturating
+# (tanh) shapes make Brent's loop reject steps and bisect, and scales down to
+# 1e-310 make its extrapolation divide by an underflowed zero.  "noisy" is
+# increasing but for an evaluation noise of up to 1e-13, as a function
+# computed in floating point is: near convergence the noise makes the
+# extrapolated step overshoot, where the step test's exact bound decides
+SHAPES_AT_ZERO = {
+    "linear": lambda x, a: x,
+    "cubic": lambda x, a: x ** 3 + a * x,
+    "exp": lambda x, a: math.expm1(min(a * x, 700.0)),
+    "tanh": lambda x, a: math.tanh(a * x),
+    "clip": lambda x, a: min(max(x, -a), a),
+    "sqrt": lambda x, a: math.copysign(math.sqrt(abs(x)), x) + 1e-3 * a * x,
+    "noisy": lambda x, a: x + 1e-16 * a * math.sin(1e17 * x),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@example(shape="noisy", a=604.0, scale=1.0, sign=1.0, root=-4.0, start=0.0, width=1.7,
+         where="around")
+@example(shape="noisy", a=548.0, scale=1.0, sign=1.0, root=6.6, start=0.0, width=2.4,
+         where="around")
+@given(shape=st.sampled_from(sorted(SHAPES_AT_ZERO)),
+       a=st.floats(1e-3, 1e3),
+       scale=st.floats(-310.0, 100.0).map(lambda e: 10.0 ** e),
+       sign=st.sampled_from([1.0, -1.0]),
+       root=st.floats(-1e3, 1e3),
+       start=st.floats(-1e3, 1e3),
+       width=st.floats(1e-6, 1e2),
+       where=st.sampled_from(["start", "at_lo", "at_hi", "around"]))
+def test_monotone_root_is_brentq_on_monotone_functions(shape, a, scale, sign, root, start,
+                                                      width, where):
+    g = SHAPES_AT_ZERO[shape]
+
+    def fn(x):
+        return sign * scale * g(x - root, a)
+
+    # "start" brackets may need widening toward a root far away
+    lo = {"start": start, "at_lo": root, "at_hi": root - width,
+          "around": root - 0.5 * width}[where]
+    check_against_brentq(fn, lo, lo + width)
+
+
+@pytest.mark.parametrize("lo, hi, nan_from, nan_to", [
+    (0.0, 1.0, 0.0, 0.0),  # at a starting end
+    (2.0, 3.0, 0.0, 0.0),  # at the first widening step, which moves lo to 0
+    (0.0, 1.0, 0.5, 0.7),  # at Brent's first iterate, 0.6
+])
+def test_monotone_root_raises_value_error_on_nan(lo, hi, nan_from, nan_to):
+    def fn(x):
+        return math.nan if nan_from <= x <= nan_to else x - 0.6
+    with pytest.raises(ValueError, match="NaN"):
+        numerics.monotone_root(fn, lo, hi)
+
+
+def test_monotone_root_that_does_not_converge_is_arithmetic_error():
+    # a step at 1e-200 in a bracket of width 2e300: 100 iterations cannot
+    # close it (brentq raises RuntimeError here), and ArithmeticError is what
+    # the CLI reports as a usage error (exit 2)
+    def step(x):
+        return -1.0 if x < 1e-200 else 1.0
+    with pytest.raises(RuntimeError):
+        brentq(step, -1e300, 1e300, xtol=numerics.ROOT_XTOL, rtol=numerics._BRENTQ_RTOL)
+    last, info = brentq(step, -1e300, 1e300, xtol=numerics.ROOT_XTOL,
+                        rtol=numerics._BRENTQ_RTOL, full_output=True, disp=False)
+    assert not info.converged
+    # the same 100 iterations end at the same point
+    with pytest.raises(ArithmeticError, match=f"did not converge.*x={re.escape(numerics.fmt17(last))}"):
+        numerics.monotone_root(step, -1e300, 1e300)

@@ -98,6 +98,14 @@ def test_z_front_single_particle_has_no_crossing(std_gaussian):
         pz.z_front(cf.from_points([0.0]), std_gaussian, 5)
 
 
+def test_z_front_without_upper_crossing_is_an_error(std_gaussian, monkeypatch):
+    # with every particle's tail stuck at one the expected count never drops
+    # below one, so no bracket holds the crossing
+    monkeypatch.setattr(pz, "tail_curve", lambda model, tau: lambda d: np.ones_like(d))
+    with pytest.raises(ValueError, match="never drops below one"):
+        pz.z_front(cf.from_points([0.0, -1.0, -2.0]), std_gaussian, 1)
+
+
 def test_z_front_rem_band(std_gaussian, rem_config):
     z = pz.z_front(rem_config, std_gaussian, 10)
     assert 0.0 <= z <= 10.0
