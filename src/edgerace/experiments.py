@@ -398,6 +398,43 @@ def _run_poissonize(spec: ExperimentSpec) -> ExperimentReport:
                             {"alpha": alpha, "min_ratio": min_ratio})
 
 
+def _collapse_oracle(lam1: float, lam2: float, threshold: float) -> tuple[int, float]:
+    """Weight-ratio recursion for an even two-atom measure at u = 1 and u = 2.
+
+    Convolution multiplies w1 by e^{lam1 - z} and w2 by e^{lam2 - 2z}, lam_k
+    being the log moment at u = k, with z the shift that restores unit mass.
+    z comes from bisection on a bracket [0, 50] widened until it holds the
+    root; the bisection stops once its midpoint equals an end, where further
+    halving no longer moves it.  Returns the first iteration whose w1 falls
+    below threshold, and that iteration's z.
+    """
+    w1 = w2 = 0.5
+
+    def mass(z: float) -> float:
+        return w1 * math.exp(lam1 - z) + w2 * math.exp(lam2 - 2 * z)
+
+    for it in range(1, 500):
+        lo, hi = 0.0, 50.0
+        while mass(lo) <= 1.0:
+            lo -= 50.0
+        while mass(hi) > 1.0:
+            hi += 50.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if mass(mid) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        z = 0.5 * (lo + hi)
+        w1 *= math.exp(lam1 - z)
+        w2 *= math.exp(lam2 - 2 * z)
+        if w1 < threshold:
+            return it, z
+    raise ArithmeticError("oracle recursion failed to collapse")
+
+
 def _run_contraction(spec: ExperimentSpec) -> ExperimentReport:
     model = inc.model_from_dict(spec.model)
     corpus_n = int(spec.param("corpus"))
@@ -429,27 +466,8 @@ def _run_contraction(spec: ExperimentSpec) -> ExperimentReport:
 
     # atom collapse: iterate the convolution on an even two-atom measure and
     # compare against the weight-ratio recursion solved independently
-    lam1 = inc.cumulant(model, 1.0).value
-    lam2 = inc.cumulant(model, 2.0).value
-
-    def oracle_iterations() -> int:
-        w1 = w2 = 0.5
-        for it in range(1, 500):
-            lo, hi = 0.0, 50.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if w1 * math.exp(lam1 - mid) + w2 * math.exp(lam2 - 2 * mid) > 1.0:
-                    lo = mid
-                else:
-                    hi = mid
-            z = 0.5 * (lo + hi)
-            w1 *= math.exp(lam1 - z)
-            w2 *= math.exp(lam2 - 2 * z)
-            if w1 < threshold:
-                return it
-        raise ArithmeticError("oracle recursion failed to collapse")
-
-    expected_iters = oracle_iterations()
+    expected_iters, _ = _collapse_oracle(inc.log_mgf(model, 1.0), inc.log_mgf(model, 2.0),
+                                         threshold)
     rho = lp.measure([(1.0, 0.5), (2.0, 0.5)])
     track_rows = []
     iters = None

@@ -4,7 +4,9 @@ An :class:`IncrementModel` carries a density on a uniform quadrature grid and,
 for the gaussian and uniform kinds, closed forms that are used wherever they
 are exact.  On top of the density sit the cumulant generating function and its
 Legendre transform (each one vectorised function that also takes scalars),
-exponential tilting and i.i.d. sampling.
+exponential tilting and i.i.d. sampling.  The log moment Lambda alone comes from
+`log_mgf`; `cumulant` adds the tilted mean and variance, which only the
+tabulated and uniform kinds need quadrature for.
 
 This is the only module that knows how the tau-step tail P(S_tau >= y) is
 computed: strict single-point queries (`sum_tail`, one call with three
@@ -231,9 +233,14 @@ def _uniform_log_mgf(lo: float, hi: float, lam: np.ndarray) -> np.ndarray:
     return lam * (lo + hi) / 2.0 + corr
 
 
+def _tilted_log_mass(model: IncrementModel, lams: np.ndarray) -> np.ndarray:
+    """Log of the tilted quadrature mass on the grid, one row per tilt."""
+    return lams[:, None] * model.grid + _log_density(model) + np.log(_quad_weights(model.grid))
+
+
 def _quad_cumulant(model: IncrementModel, lams: np.ndarray) -> tuple[np.ndarray, ...]:
     """Quadrature (log moment, tilted mean, centred tilted variance) per tilt."""
-    t = lams[:, None] * model.grid + _log_density(model) + np.log(_quad_weights(model.grid))
+    t = _tilted_log_mass(model, lams)
     log_i = logsumexp(t, axis=1)
     p = np.exp(t - log_i[:, None])  # tilted probability mass on the grid, one row per tilt
     # row sums, not matrix products, so a row never depends on the others
@@ -242,27 +249,47 @@ def _quad_cumulant(model: IncrementModel, lams: np.ndarray) -> tuple[np.ndarray,
     return log_i, mean, var
 
 
-def cumulant(model: IncrementModel, lam: np.ndarray | float) -> Cumulant:
-    """Log exponential moment with tilted mean and variance, at a scalar or array of tilts.
+def log_mgf(model: IncrementModel, lam: np.ndarray | float) -> float | np.ndarray:
+    """Log exponential moment Lambda(lam) alone, at a scalar or array of tilts.
 
-    Derivatives come from quadrature of the tilted density, except for the
-    gaussian kind where everything is closed form; the uniform log moment is
-    closed form too.  lam = 0 returns exactly (0, mean, variance).  A scalar
-    tilt gives floats, an array gives arrays of its shape.
+    Closed form for the gaussian and uniform kinds, quadrature of the tilted
+    density otherwise.  lam = 0 returns exactly 0.  A scalar tilt gives a
+    float, an array gives an array of its shape.
     """
     lams = np.asarray(lam, dtype=float)
     _check_lambda(model, lams)
     flat = lams.ravel()
     if model.kind == "gaussian":
         m, v = model.params
-        value, mean, var = m * flat + 0.5 * v * flat * flat, m + v * flat, np.full_like(flat, v)
+        value = m * flat + 0.5 * v * flat * flat
+    elif model.kind == "uniform":
+        value = _uniform_log_mgf(*model.params, flat)
     else:
-        value, mean, var = _quad_cumulant(model, flat)
-        if model.kind == "uniform":
-            value = _uniform_log_mgf(*model.params, flat)
+        value = logsumexp(_tilted_log_mass(model, flat), axis=1)
+    value = np.where(flat == 0.0, 0.0, value)
+    if lams.ndim == 0:
+        return float(value[0])
+    return value.reshape(lams.shape)
+
+
+def cumulant(model: IncrementModel, lam: np.ndarray | float) -> Cumulant:
+    """Log exponential moment with tilted mean and variance, at a scalar or array of tilts.
+
+    The log moment is `log_mgf`.  The derivatives come from quadrature of the
+    tilted density, except for the gaussian kind where they are closed form.
+    lam = 0 returns exactly (0, mean, variance).  A scalar tilt gives floats,
+    an array gives arrays of its shape.
+    """
+    lams = np.asarray(lam, dtype=float)
+    flat = lams.ravel()
+    value = log_mgf(model, flat)  # checks the tilts
+    if model.kind == "gaussian":
+        m, v = model.params
+        mean, var = m + v * flat, np.full_like(flat, v)
+    else:
+        _, mean, var = _quad_cumulant(model, flat)
     zero = flat == 0.0
-    parts = (np.where(zero, 0.0, value), np.where(zero, model.mean, mean),
-             np.where(zero, model.variance, var))
+    parts = (value, np.where(zero, model.mean, mean), np.where(zero, model.variance, var))
     if lams.ndim == 0:
         return Cumulant(*(float(a[0]) for a in parts))
     return Cumulant(*(a.reshape(lams.shape) for a in parts))
@@ -315,7 +342,7 @@ def front_velocity(model: IncrementModel, s: float) -> float:
     """Per-step drift of the leading edge for exponential rate s: Lambda(s)/s."""
     if s <= 0:
         raise ValueError("s must be positive")
-    return cumulant(model, s).value / s
+    return log_mgf(model, s) / s
 
 
 def tilt(model: IncrementModel, s: float) -> IncrementModel:
@@ -328,7 +355,7 @@ def tilt(model: IncrementModel, s: float) -> IncrementModel:
         m, v = model.params
         halfwidth = (model.grid[-1] - model.grid[0]) / (2.0 * np.sqrt(v))
         return gaussian(m + v * s, v, grid_halfwidth=halfwidth, grid_points=model.grid.size)
-    log_norm = cumulant(model, s).value
+    log_norm = log_mgf(model, s)
     density = np.exp(s * model.grid + _log_density(model) - log_norm)
     return tabulated(model.grid, density)
 
@@ -397,7 +424,7 @@ def _mc_importance(model: IncrementModel, tau: int, y: float, eta: float, n: int
     other kinds accumulate per-step draws in batches.
     """
     tilted = tilt(model, eta)
-    lam_val = cumulant(model, eta).value
+    lam_val = log_mgf(model, eta)
     if model.kind == "gaussian":
         rng = generator(stream)
         s_sum = rng.normal(tau * tilted.mean, np.sqrt(tau * tilted.variance), size=n)
@@ -546,7 +573,7 @@ def log_tail_bound(model: IncrementModel, tau: int, t: np.ndarray) -> np.ndarray
         # past the clip point, keep the boundary-tilt Chernoff line
         beyond = q[mid] > qs
         if np.any(beyond):
-            lam_hi = cumulant(model, model.lambda_hi).value
+            lam_hi = log_mgf(model, model.lambda_hi)
             chernoff[beyond] = -tau * (model.lambda_hi * q[mid][beyond] - lam_hi)
         out[mid] = chernoff
     return out

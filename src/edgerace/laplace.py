@@ -155,7 +155,7 @@ def convolution_shift(rho: LaplaceMeasure, model: inc.IncrementModel) -> Convolu
     if rho.u[-1] > model.lambda_hi:
         raise ValueError(
             f"atom at u={rho.u[-1]:.6g} outside the model's safe cumulant range")
-    lam = inc.cumulant(model, rho.u).value
+    lam = inc.log_mgf(model, rho.u)
     logw = rho.log_w + lam
 
     def f(z: float) -> float:

@@ -20,11 +20,6 @@ T = TypeVar("T")
 THREADS_ENV = "EDGERACE_THREADS"
 
 
-def stream(*parts: int) -> StreamKey:
-    """Build a stream key from integers (typically a master seed)."""
-    return tuple(int(p) for p in parts)
-
-
 def substream(key: Sequence[int], *indices: int) -> StreamKey:
     """Derive a child key by appending indices to the parent key."""
     return (*map(int, key), *map(int, indices))

@@ -326,6 +326,66 @@ def test_cli_root_solve_that_does_not_converge_is_usage_error(tmp_path, capsys, 
     assert not out_dir.exists()
 
 
+def collapse_oracle_200_steps(lam1, lam2, threshold):
+    # reference: the bracket [0, 50] widened in steps of 50, then every one
+    # of 200 bisection steps, with no early exit
+    w1 = w2 = 0.5
+    for it in range(1, 500):
+        lo, hi = 0.0, 50.0
+        while w1 * math.exp(lam1 - lo) + w2 * math.exp(lam2 - 2 * lo) <= 1.0:
+            lo -= 50.0
+        while w1 * math.exp(lam1 - hi) + w2 * math.exp(lam2 - 2 * hi) > 1.0:
+            hi += 50.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if w1 * math.exp(lam1 - mid) + w2 * math.exp(lam2 - 2 * mid) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        z = 0.5 * (lo + hi)
+        w1 *= math.exp(lam1 - z)
+        w2 *= math.exp(lam2 - 2 * z)
+        if w1 < threshold:
+            return it, z
+    raise AssertionError("reference recursion did not collapse")
+
+
+@settings(max_examples=120, deadline=None)
+@given(hst.data())
+def test_collapse_oracle_early_exit_is_exact(data):
+    # lam_k = k m + k^2 v / 2 + c_k is a convex log moment at u = 1, 2 shifted
+    # by m; |m| up to 200 needs a bracket widened far beyond [0, 50]
+    m = data.draw(hst.one_of(hst.floats(-3.0, 3.0), hst.floats(-200.0, 200.0)))
+    v = data.draw(hst.floats(0.1, 5.0))
+    lam1 = m + 0.5 * v + data.draw(hst.floats(-0.01, 0.01))
+    lam2 = 2.0 * m + 2.0 * v
+    threshold = data.draw(hst.sampled_from((1e-3, 1e-6, 0.2)))
+    assert ex._collapse_oracle(lam1, lam2, threshold) == \
+        collapse_oracle_200_steps(lam1, lam2, threshold)
+
+
+@pytest.mark.parametrize("shifted, unshifted", [
+    ({"kind": "gaussian", "mean": -5.0, "variance": 1.0}, GAUSSIAN),
+    ({"kind": "uniform", "lo": -3.0, "hi": -1.0}, {"kind": "uniform", "lo": 0.0, "hi": 2.0}),
+    ({"kind": "gaussian", "mean": 60.0, "variance": 1.0}, GAUSSIAN),
+    ({"kind": "gaussian", "mean": -1.0, "variance": 1.0}, GAUSSIAN),
+])
+def test_cli_collapse_target_ignores_a_shift_of_the_model(tmp_path, shifted, unshifted):
+    # a shift of the increment law moves every z by the same amount and
+    # leaves the weights alone, so the oracle's iteration count must not move
+    targets = []
+    for label, model in (("shifted", shifted), ("unshifted", unshifted)):
+        config = tmp_path / f"{label}.json"
+        config.write_text(json.dumps({"experiment": "contraction", "seed": 3,
+                                      "model": model, "corpus": 2}))
+        out_dir = tmp_path / label
+        assert cli.main(["run", str(config), "--out", str(out_dir)]) == 0
+        rows = (out_dir / "report.csv").read_text().splitlines()[1:]
+        targets += [float(row.split(",")[2]) for row in rows
+                    if row.startswith("collapse_iterations,")]
+    assert len(targets) == 2 and targets[0] == targets[1]
+
+
 def test_cli_bad_json(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text("{not json")

@@ -323,6 +323,49 @@ def test_tail_curve_array_equals_scalar_calls(data):
     assert_bitwise(curve(ys), [curve(float(y)) for y in ys])
 
 
+# a tabulated model as tilt builds it; its quadrature mass at lam = 0 is 1 only
+# to about 3e-14, so the exact 0 there is log_mgf's doing
+TILTED_UNIFORM = inc.tilt(inc.uniform(0.0, 1.0), 3.0)
+
+
+def draw_model(data):
+    kind = data.draw(hst.sampled_from(("gaussian", "uniform", "tabulated")))
+    if kind == "gaussian":
+        mean = data.draw(hst.floats(-50.0, 50.0))
+        return inc.gaussian(mean, data.draw(hst.floats(0.01, 100.0)))
+    if kind == "uniform":
+        lo = data.draw(hst.floats(-20.0, 20.0))
+        return inc.uniform(lo, lo + data.draw(hst.floats(0.01, 30.0)))
+    return TILTED_UNIFORM
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.data())
+def test_log_mgf_is_the_cumulant_value(data):
+    # the log moment alone, bit for bit what cumulant reports, exactly 0 at
+    # lam = 0, and within quadrature error of the tilted-density integral
+    model = draw_model(data)
+    lams = draw_array(data, model.lambda_lo, model.lambda_hi, 0.0, model.lambda_hi)
+    got = inc.log_mgf(model, lams)
+    assert_bitwise(got, inc.cumulant(model, lams).value)
+    assert_bitwise(got, [inc.log_mgf(model, float(lam)) for lam in lams])
+    assert np.all(got[lams == 0.0] == 0.0)
+    for lam in (float(lams[0]), 0.0, model.lambda_hi):
+        value = inc.log_mgf(model, lam)
+        assert type(value) is float
+        assert value == inc.cumulant(model, lam).value
+    quad_value = inc._quad_cumulant(model, lams[lams != 0.0])[0]
+    assert np.allclose(got[lams != 0.0], quad_value, rtol=1e-7, atol=1e-7)
+    bad = data.draw(hst.sampled_from((np.nan, model.lambda_hi * 1.5 + 1.0,
+                                      model.lambda_lo * 1.5 - 1.0)))
+    for tilts in (bad, np.append(lams, bad)):
+        with pytest.raises(ValueError) as ours:
+            inc.log_mgf(model, tilts)
+        with pytest.raises(ValueError) as reference:
+            inc.cumulant(model, tilts)
+        assert str(ours.value) == str(reference.value)
+
+
 GAUSSIAN_MODELS = tuple(m for m in PROPERTY_MODELS if m.kind == "gaussian")
 
 
