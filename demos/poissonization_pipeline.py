@@ -10,7 +10,7 @@ reproduce the evolved gap law.
 
 import numpy as np
 
-from edgerace import (Configuration, extract_laplace, gaussian, intensity_from_measure,
+from edgerace import (Configuration, TailIntensity, extract_laplace, gaussian,
                       ks_two_sample, law_distance, leader_laws, sample, sample_rem,
                       transform, z_front)
 from edgerace.streams import generator, substream
@@ -43,7 +43,7 @@ for x in (-2.0, 0.0, 2.0):
 print()
 print("== round trip: resample the intensity vs evolve the configuration ==")
 reps = 400
-intensity = intensity_from_measure(rho, offset=ext.z)
+intensity = TailIntensity(rho, ext.z)
 rng = generator((22,))
 arrivals = np.cumsum(rng.exponential(size=(reps, 2)), axis=1)
 pts = np.asarray(intensity.inverse(arrivals.ravel())).reshape(reps, 2)

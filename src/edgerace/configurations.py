@@ -68,24 +68,6 @@ def gaps(config: Configuration) -> np.ndarray:
     return config.leader - config.positions
 
 
-def count_within(config: Configuration, y: float,
-                 bound: tuple[float, float] | None = None) -> int | tuple[int, bool]:
-    """Number of particles within distance y of the leader.
-
-    With bound=(A, lam) also reports whether the count respects A e^{lam y}.
-    Distances beyond the faithful window are refused.
-    """
-    if y < 0:
-        raise ValueError("distance must be nonnegative")
-    if y > config.window_depth:
-        raise ValueError(f"distance {y} exceeds the faithful window depth {config.window_depth}")
-    count = int(np.searchsorted(gaps(config), y, side="right"))
-    if bound is None:
-        return count
-    a, lam = bound
-    return count, count <= a * np.exp(lam * y)
-
-
 def sample_from_tail_intensity(intensity: TailIntensity, depth: int,
                                stream: StreamKey) -> Configuration:
     """The top `depth` points of the Poisson process whose expected count

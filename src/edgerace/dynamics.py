@@ -107,16 +107,16 @@ def _fit_occupancy(config: Configuration) -> tuple[float, float]:
 
 
 def truncation_bias(config: Configuration, model: inc.IncrementModel, tau: int,
-                    cutoff: float, fit: tuple[float, float] | None = None,
-                    window: float | None = None) -> float:
+                    cutoff: float) -> float:
     """Upper bound on intruders from below the window reaching the cutoff.
 
-    Models the unseen region below depth `window` by the exponential
-    continuation of the fitted occupancy, whose density at depth y is
-    A lam e^{lam y}, and integrates the tau-step tail of reaching `cutoff`.
+    Models the unseen region below the window depth by the exponential
+    continuation of the occupancy fitted to every particle, whose density at
+    depth y is A lam e^{lam y}, and integrates the tau-step tail of reaching
+    `cutoff`.
     """
-    a, lam = fit if fit is not None else _fit_occupancy(config)
-    w = config.window_depth if window is None else float(window)
+    a, lam = _fit_occupancy(config)
+    w = config.window_depth
     if not np.isfinite(w):
         return 0.0
     leader = config.leader

@@ -367,7 +367,7 @@ def _run_poissonize(spec: ExperimentSpec) -> ExperimentReport:
     base = cf.sample_rem(spec.s, 0.0, depth, substream(key, 10 ** 6, 0))
     omega = cf.Configuration(base.positions, np.inf)
     ext = pz.extract_laplace(omega, model, rt_tau)
-    intensity = lp.intensity_from_measure(ext.measure, offset=ext.z)
+    intensity = lp.TailIntensity(ext.measure, ext.z)
 
     rng = generator(substream(key, 10 ** 6, 1))
     arrivals = np.cumsum(rng.exponential(size=(rt_reps, 2)), axis=1)
@@ -405,32 +405,37 @@ def _collapse_oracle(lam1: float, lam2: float, threshold: float) -> tuple[int, f
     being the log moment at u = k, with z the shift that restores unit mass.
     z comes from bisection on a bracket [0, 50] widened until it holds the
     root; the bisection stops once its midpoint equals an end, where further
-    halving no longer moves it.  Returns the first iteration whose w1 falls
-    below threshold, and that iteration's z.
+    halving no longer moves it.  The weights are kept as logs, and the log
+    mass max(a, b) + log1p(e^{-|a - b|}) of the two terms is compared with 0,
+    so a log moment far above 709 (a model shifted far up) cannot overflow.
+    Returns the first iteration whose w1 falls below threshold, and its z.
     """
-    w1 = w2 = 0.5
+    lw1 = lw2 = math.log(0.5)
 
-    def mass(z: float) -> float:
-        return w1 * math.exp(lam1 - z) + w2 * math.exp(lam2 - 2 * z)
+    def log_mass(z: float) -> float:
+        a, b = lw1 + lam1 - z, lw2 + lam2 - 2 * z
+        if a < b:
+            a, b = b, a
+        return a + math.log1p(math.exp(b - a))
 
     for it in range(1, 500):
         lo, hi = 0.0, 50.0
-        while mass(lo) <= 1.0:
+        while log_mass(lo) <= 0.0:
             lo -= 50.0
-        while mass(hi) > 1.0:
+        while log_mass(hi) > 0.0:
             hi += 50.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if mass(mid) > 1.0:
+            if log_mass(mid) > 0.0:
                 lo = mid
             else:
                 hi = mid
         z = 0.5 * (lo + hi)
-        w1 *= math.exp(lam1 - z)
-        w2 *= math.exp(lam2 - 2 * z)
-        if w1 < threshold:
+        lw1 += lam1 - z
+        lw2 += lam2 - 2 * z
+        if math.exp(lw1) < threshold:
             return it, z
     raise ArithmeticError("oracle recursion failed to collapse")
 

@@ -173,17 +173,17 @@ def _safe_lambda_bounds(grid: np.ndarray, density: np.ndarray) -> tuple[float, f
     return bound(-1.0), bound(+1.0)
 
 
-def gaussian(mean: float = 0.0, variance: float = 1.0, *, grid_halfwidth: float = 12.0,
-             grid_points: int = 4001) -> IncrementModel:
+def gaussian(mean: float = 0.0, variance: float = 1.0) -> IncrementModel:
     # written so that NaN fails the checks too
     if not np.isfinite(mean):
         raise ValueError(f"gaussian mean must be finite, got {mean!r}")
     if not 0.0 < variance < np.inf:
         raise ValueError(f"gaussian variance must be positive and finite, got {variance!r}")
     sd = float(np.sqrt(variance))
-    grid = np.linspace(mean - grid_halfwidth * sd, mean + grid_halfwidth * sd, grid_points)
+    # the table only backs the density check: every gaussian formula is closed form
+    grid = np.linspace(mean - 12.0 * sd, mean + 12.0 * sd, 4001)
     density = np.exp(-0.5 * ((grid - mean) / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
-    lam = (grid_halfwidth - 6.5) * sd / variance
+    lam = 5.5 * sd / variance  # the tilted mean at lam stays 6.5 sd inside the table
     return IncrementModel("gaussian", grid, density, -lam, lam,
                           float(mean), float(variance), (float(mean), float(variance)))
 
@@ -353,8 +353,7 @@ def tilt(model: IncrementModel, s: float) -> IncrementModel:
         return model
     if model.kind == "gaussian":
         m, v = model.params
-        halfwidth = (model.grid[-1] - model.grid[0]) / (2.0 * np.sqrt(v))
-        return gaussian(m + v * s, v, grid_halfwidth=halfwidth, grid_points=model.grid.size)
+        return gaussian(m + v * s, v)
     log_norm = log_mgf(model, s)
     density = np.exp(s * model.grid + _log_density(model) - log_norm)
     return tabulated(model.grid, density)
@@ -579,20 +578,23 @@ def log_tail_bound(model: IncrementModel, tau: int, t: np.ndarray) -> np.ndarray
     return out
 
 
+_MODEL_KEYS = {"gaussian": ("mean", "variance"), "uniform": ("lo", "hi", "grid_points"),
+               "tabulated": ("grid", "density")}  # of `model_from_dict`, by kind
+
+
 def model_from_dict(spec: dict) -> IncrementModel:
-    """Build a model from a configuration mapping (kind plus parameters)."""
+    """Build a model from a configuration mapping: its kind and only the keys
+    _MODEL_KEYS gives that kind, so a misspelt key cannot fall back to a default."""
     kind = spec.get("kind")
-    opts = {}
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    for key in spec:
+        if key != "kind" and key not in _MODEL_KEYS[kind]:
+            raise ValueError(f"unknown key {key!r} for a {kind} model "
+                             f"(known: {', '.join(_MODEL_KEYS[kind])})")
     if kind == "gaussian":
-        if "grid_halfwidth" in spec:
-            opts["grid_halfwidth"] = float(spec["grid_halfwidth"])
-        if "grid_points" in spec:
-            opts["grid_points"] = int(spec["grid_points"])
-        return gaussian(float(spec.get("mean", 0.0)), float(spec.get("variance", 1.0)), **opts)
+        return gaussian(float(spec.get("mean", 0.0)), float(spec.get("variance", 1.0)))
     if kind == "uniform":
-        if "grid_points" in spec:
-            opts["grid_points"] = int(spec["grid_points"])
+        opts = {"grid_points": int(spec["grid_points"])} if "grid_points" in spec else {}
         return uniform(float(spec.get("lo", 0.0)), float(spec.get("hi", 1.0)), **opts)
-    if kind == "tabulated":
-        return tabulated(spec["grid"], spec["density"])
-    raise ValueError(f"unknown model kind {kind!r}")
+    return tabulated(spec["grid"], spec["density"])

@@ -36,7 +36,6 @@ from .streams import StreamKey, generator
 NORMALIZE_TOL = 1e-12
 UNIT_MASS_TOL = 1e-9    # mass error that convolution_shift accepts as normalized
 QUAD_TOL = 1e-10        # absolute quadrature target for the functionals
-LEVEL_TOL = 1e-8        # quadrature target of level_functional
 GAP_REMAINDER_TOL = 1e-9  # certified far-tail remainder of expected_gap
 TAIL_BUDGET = 1e-13     # certified remainder outside the quadrature range
 STEEPER_SLACK = 1e-9
@@ -52,10 +51,13 @@ CORPUS_MIN_WEIGHT = 1e-3
 
 @dataclass(frozen=True)
 class LaplaceMeasure:
-    """Atoms (u_i, w_i) with distinct nonnegative u, sorted ascending.
+    """Atoms (u_i, w_i) with distinct positive finite u, sorted ascending.
 
-    Given float64 arrays, the instance shares their memory and holds
-    read-only views of them; the caller's arrays stay writable.
+    An atom at u = 0 would put infinitely many particles above every level
+    (its term of the transform never decays), so no measure holds one and
+    the code built on measures need not test for it.  Given float64 arrays,
+    the instance shares their memory and holds read-only views of them; the
+    caller's arrays stay writable.
     """
 
     u: np.ndarray
@@ -66,8 +68,8 @@ class LaplaceMeasure:
         w = np.asarray(self.w, dtype=float).view()
         if u.ndim != 1 or u.shape != w.shape or u.size == 0:
             raise ValueError("u and w must be matching nonempty 1-d arrays")
-        if np.any(u < 0):
-            raise ValueError("atom locations must be nonnegative")
+        if not ((u > 0) & (u < np.inf)).all():  # written so that NaN fails too
+            raise ValueError("atom locations must be positive and finite")
         if np.any(np.diff(u) <= 0):
             raise ValueError("atom locations must be strictly increasing")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
@@ -122,18 +124,8 @@ def shift(rho: LaplaceMeasure, alpha: float) -> LaplaceMeasure:
 
 
 def normalizing_shift(rho: LaplaceMeasure) -> float:
-    """Shift alpha bringing total mass to one; raises for degenerate measures."""
-    at_zero = rho.u == 0.0
-    mass_at_zero = float(rho.w[at_zero].sum())
-    if np.all(at_zero):
-        if abs(rho.total_mass - 1.0) <= NORMALIZE_TOL:
-            return 0.0
-        raise ValueError("all atoms at u=0: no shift can change the total mass")
-    if mass_at_zero >= 1.0:
-        raise ValueError("mass at u=0 is >= 1; the shifted total mass cannot reach 1")
-    # an atom at u = 0 keeps its weight under every shift; the others must carry the rest
-    moving = LaplaceMeasure(rho.u[~at_zero], rho.w[~at_zero])
-    alpha = float(TailIntensity(moving).inverse(1.0 - mass_at_zero))
+    """Shift alpha bringing total mass to one, the level-one crossing of the transform."""
+    alpha = float(TailIntensity(rho).inverse(1.0))
     if abs(transform(rho, alpha) - 1.0) > NORMALIZE_TOL:
         raise ArithmeticError("normalizing shift did not reach unit mass within 1e-12")
     return alpha
@@ -161,7 +153,7 @@ def convolution_shift(rho: LaplaceMeasure, model: inc.IncrementModel) -> Convolu
     def f(z: float) -> float:
         return float(logsumexp(logw - z * rho.u))
 
-    z0 = float(np.max(logw / np.maximum(rho.u, 1e-300)))
+    z0 = float(np.max(logw / rho.u))
     z = monotone_root(f, z0 - 1.0, z0 + 1.0)
     return Convolution(z, LaplaceMeasure(rho.u, rho.w * np.exp(lam - z * rho.u)))
 
@@ -178,16 +170,10 @@ def convolve_g(rho: LaplaceMeasure, model: inc.IncrementModel) -> LaplaceMeasure
 @dataclass(frozen=True)
 class TailIntensity:
     """Decreasing positive intensity tail F(x) = R_rho(x - offset); `inverse`
-    also solves the shifts of `normalized` and `normalizing_shift`.  Every
-    atom sits at u > 0: an atom at u = 0 keeps the tail from decaying."""
+    also solves the shifts of `normalized` and `normalizing_shift`."""
 
     rho: LaplaceMeasure
     offset: float = 0.0
-
-    def __post_init__(self):
-        if self.rho.u[0] == 0.0:
-            raise ValueError("a tail intensity needs every atom at u > 0: "
-                             "an atom at u = 0 keeps the tail from decaying")
 
     def value(self, x: np.ndarray | float) -> np.ndarray | float:
         return transform(self.rho, np.asarray(x, dtype=float) - self.offset)
@@ -264,10 +250,6 @@ class TailIntensity:
         return TailIntensity(self.rho, self.offset - self.inverse(1.0))
 
 
-def intensity_from_measure(rho: LaplaceMeasure, offset: float = 0.0) -> TailIntensity:
-    return TailIntensity(rho, float(offset))
-
-
 @lru_cache(maxsize=64)
 def exponential_intensity(s: float, z: float = 0.0) -> TailIntensity:
     """Pure exponential tail e^{-s (x - z)}.
@@ -284,7 +266,7 @@ def exponential_intensity(s: float, z: float = 0.0) -> TailIntensity:
 
 def _coerce(f: "TailIntensity | LaplaceMeasure") -> TailIntensity:
     if isinstance(f, LaplaceMeasure):
-        return intensity_from_measure(f)
+        return TailIntensity(f)
     return f
 
 
@@ -338,40 +320,6 @@ def gap_functional(f: TailIntensity | LaplaceMeasure, u: float) -> float:
         return np.exp(-np.asarray(f.value(x - u))) * dens.sum(axis=1)
 
     return adaptive_gauss(integrand, float(lo[0]) + off, float(hi[1]) + off, tol=QUAD_TOL)
-
-
-def level_functional(f: TailIntensity | LaplaceMeasure, shape_w: Sequence[float],
-                     shape_vals: Sequence[float]) -> float:
-    """Integral over time of a tabulated shape applied to the intensity level.
-
-    The shape is linearly interpolated on its level grid and must vanish at
-    both ends of the table, which confines the integrand to a finite window.
-    """
-    f = _coerce(f)
-    w = np.asarray(shape_w, dtype=float)
-    v = np.asarray(shape_vals, dtype=float)
-    if w.ndim != 1 or w.shape != v.shape or w.size < 3:
-        raise ValueError("shape table needs matching 1-d arrays")
-    if np.any(np.diff(w) <= 0) or np.any(w < 0):
-        raise ValueError("shape grid must be nonnegative and increasing")
-    if np.any(v < 0):
-        raise ValueError("shape values must be nonnegative")
-    if v[0] != 0.0 or v[-1] != 0.0:
-        raise ValueError("shape must vanish at both table ends (divergent integral otherwise)")
-    pos = np.nonzero(v > 0)[0]
-    if pos.size == 0:
-        return 0.0
-    w_lo = w[pos[0] - 1] if pos[0] > 0 else w[0]
-    w_hi = w[pos[-1] + 1] if pos[-1] + 1 < w.size else w[-1]
-    if w_lo <= 0:
-        raise ValueError("shape support must stay away from level zero")
-    t_lo = float(f.inverse(w_hi))
-    t_hi = float(f.inverse(w_lo))
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.interp(np.asarray(f.value(t)), w, v, left=0.0, right=0.0)
-
-    return adaptive_gauss(integrand, t_lo, t_hi, tol=LEVEL_TOL, max_panels=16384)
 
 
 def expected_gap(f: TailIntensity | LaplaceMeasure, n: int) -> float:

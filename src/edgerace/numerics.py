@@ -1,14 +1,15 @@
 """Deterministic quadrature, root-bracketing and log-sum-exp helpers shared across modules.
 
 The quadrature and the root finder have no knobs beyond what their callers
-set: `gauss_panels` uses GAUSS_ORDER nodes per panel, `adaptive_gauss` starts
-from GAUSS_START_PANELS panels, and `monotone_root` widens its bracket at most
-BRACKET_STEPS times and refines to ROOT_XTOL.  The refinement is Brent's
-method (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4),
-copied statement by statement from the loop in scipy's `Zeros/brentq.c`: it
-returns bit-for-bit the root `scipy.optimize.brentq` returns on the widened
-bracket, without loading `scipy.optimize`, and it starts from the end values
-the widening computed instead of evaluating them again.
+set: `gauss_panels` uses GAUSS_ORDER nodes per panel, `adaptive_gauss`
+doubles from GAUSS_START_PANELS panels up to GAUSS_MAX_PANELS, and
+`monotone_root` widens its bracket at most BRACKET_STEPS times and refines to
+ROOT_XTOL.  The refinement is Brent's method (Brent, *Algorithms for
+Minimization without Derivatives*, 1973, ch. 4), copied statement by statement
+from the loop in scipy's `Zeros/brentq.c`: it returns bit-for-bit the root
+`scipy.optimize.brentq` returns on the widened bracket, without loading
+`scipy.optimize`, and it starts from the end values the widening computed
+instead of evaluating them again.
 
 `logsumexp` is the package's only log-sum-exp.  For nonempty real input it
 returns results bit-for-bit identical to `scipy.special.logsumexp` (scipy 1.17's
@@ -32,6 +33,7 @@ import numpy as np
 BLOCK_CELLS = 1 << 17   # cells per row block; a whole row when a row is longer
 GAUSS_ORDER = 32        # Gauss-Legendre nodes per panel
 GAUSS_START_PANELS = 8  # panels of adaptive_gauss's first pass
+GAUSS_MAX_PANELS = 8192  # panels of adaptive_gauss's last pass
 ROOT_XTOL = 1e-14       # absolute root width of monotone_root
 BRACKET_STEPS = 200     # widening steps monotone_root takes before it gives up
 _BRENTQ_RTOL = 8.9e-16  # relative root width of monotone_root's Brent loop
@@ -62,12 +64,12 @@ def gauss_panels(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 
 
 def adaptive_gauss(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                   tol: float, max_panels: int = 8192) -> float:
-    """Panel-doubling quadrature from GAUSS_START_PANELS panels; raises
-    ArithmeticError if it fails to settle."""
+                   tol: float) -> float:
+    """Panel-doubling quadrature from GAUSS_START_PANELS to GAUSS_MAX_PANELS
+    panels; raises ArithmeticError if it fails to settle."""
     prev = gauss_panels(fn, lo, hi, GAUSS_START_PANELS)
     n = 2 * GAUSS_START_PANELS
-    while n <= max_panels:
+    while n <= GAUSS_MAX_PANELS:
         cur = gauss_panels(fn, lo, hi, n)
         if abs(cur - prev) <= tol:
             return cur

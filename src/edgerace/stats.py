@@ -1,8 +1,9 @@
 """Empirical estimators and distances for gap laws and point-process checks.
 
-The KS distances take plain arrays of samples.  `mpgfl_estimate` averages the
-gap generating functional over an ensemble, and `mpgfl_poisson` computes it
-exactly for a Poisson process on a grid of MPGFL_CELLS cells.
+The KS distances take plain arrays of samples.  `mpgfl_term` evaluates the
+gap generating functional's integrand on one configuration, whose ensemble
+mean estimates the functional, and `mpgfl_poisson` computes it exactly for a
+Poisson process on a grid of MPGFL_CELLS cells.
 """
 
 from __future__ import annotations
@@ -64,11 +65,6 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     return KsResult(stat, _critical(n_eff), float(n_eff))
 
 
-class FunctionalEstimate(NamedTuple):
-    value: float
-    se: float
-
-
 def _interp_table(x: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
     return np.interp(x, fx, fy, left=0.0, right=0.0)
 
@@ -89,20 +85,6 @@ def mpgfl_term(config: Configuration, fx: Sequence[float], fy: Sequence[float]) 
             f"configuration window depth {config.window_depth} is shallower "
             f"than the test-function support {support_end}")
     return float(np.exp(-_interp_table(gaps(config), fx, fy).sum()))
-
-
-def mpgfl_estimate(ensemble: Sequence[Configuration], fx: Sequence[float],
-                   fy: Sequence[float]) -> FunctionalEstimate:
-    """Ensemble mean of `mpgfl_term`, exp(-sum_n f(x1 - x_n)), for a tabulated gap weight f.
-
-    The n = 1 term f(0) is included; pass a table with f(0) = 0 for the
-    gap-only variant.  Every configuration must be faithful at least as deep
-    as the support of f.
-    """
-    vals = np.array([mpgfl_term(config, fx, fy) for config in ensemble])
-    value = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return FunctionalEstimate(value, se)
 
 
 class PoissonFunctional(NamedTuple):

@@ -210,21 +210,22 @@ def test_front_velocity_certified_horizon(std_gaussian):
 
 def test_truncation_bias_deep_window(std_gaussian):
     config = cf.sample_rem(1.0, 0.0, 10_000, (83,))
-    bound = dy.truncation_bias(config, std_gaussian, tau=5,
-                               cutoff=config.leader + 2.5, window=40.0)
+    bound = dy.truncation_bias(cf.Configuration(config.positions, 40.0), std_gaussian, tau=5,
+                               cutoff=config.leader + 2.5)
     assert 0.0 <= bound < 1e-6
 
 
 def test_truncation_bias_no_window_reports_full_mass(std_gaussian):
-    single = cf.from_points([0.0], window_depth=0.0)
-    bound = dy.truncation_bias(single, std_gaussian, tau=1, cutoff=0.0, fit=(1.0, 1.0))
+    # particle k sits log k behind the leader, so the fitted occupancy is e^y
+    config = cf.Configuration(-np.log(np.arange(1.0, 101.0)), window_depth=0.0)
+    bound = dy.truncation_bias(config, std_gaussian, tau=1, cutoff=0.0)
     assert bound > 0.5  # nothing is certified; the continuation mass is reported
 
 
 def test_truncation_bias_decreasing_in_window(std_gaussian):
     config = cf.sample_rem(1.0, 0.0, 5000, (84,))
     cutoff = config.leader + 2.0
-    bounds = [dy.truncation_bias(config, std_gaussian, 3, cutoff, window=w)
+    bounds = [dy.truncation_bias(cf.Configuration(config.positions, w), std_gaussian, 3, cutoff)
               for w in (6.0, 10.0, 16.0, 28.0)]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
@@ -234,8 +235,8 @@ def test_truncation_bias_uniform_support_cutoff():
     config = cf.sample_rem(1.0, 0.0, 2000, (85,))
     # after tau steps nothing can advance more than tau, so deep intruders
     # need jumps beyond the support and the bound collapses to zero
-    bound = dy.truncation_bias(config, model, tau=3, cutoff=config.leader + 1.0,
-                               window=6.0)
+    bound = dy.truncation_bias(cf.Configuration(config.positions, 6.0), model, tau=3,
+                               cutoff=config.leader + 1.0)
     assert bound < 1e-8
 
 

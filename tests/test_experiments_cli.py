@@ -264,6 +264,9 @@ def test_cli_exit_code_contract(data):
     ({"kind": "uniform", "hi": "inf"}, "hi"),
     ({"kind": "uniform", "lo": "nan"}, "lo"),
     ({"kind": "uniform", "lo": 2.0, "hi": 1.0}, "lo < hi"),
+    # a misspelt key must not fall back to the default it misses
+    ({"kind": "gaussian", "mean": 0.0, "varience": 4.0}, "unknown key 'varience'"),
+    ({"kind": "gaussian", "grid_points": 5}, "unknown key 'grid_points'"),
 ])
 def test_cli_model_parameters_are_range_checked(tmp_path, capsys, model, parameter):
     config = tmp_path / "c.json"
@@ -328,24 +331,29 @@ def test_cli_root_solve_that_does_not_converge_is_usage_error(tmp_path, capsys, 
 
 def collapse_oracle_200_steps(lam1, lam2, threshold):
     # reference: the bracket [0, 50] widened in steps of 50, then every one
-    # of 200 bisection steps, with no early exit
-    w1 = w2 = 0.5
+    # of 200 bisection steps, with no early exit; log weights, log mass
+    lw1 = lw2 = math.log(0.5)
+
+    def log_mass(z):
+        a, b = lw1 + lam1 - z, lw2 + lam2 - 2 * z
+        return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+
     for it in range(1, 500):
         lo, hi = 0.0, 50.0
-        while w1 * math.exp(lam1 - lo) + w2 * math.exp(lam2 - 2 * lo) <= 1.0:
+        while log_mass(lo) <= 0.0:
             lo -= 50.0
-        while w1 * math.exp(lam1 - hi) + w2 * math.exp(lam2 - 2 * hi) > 1.0:
+        while log_mass(hi) > 0.0:
             hi += 50.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if w1 * math.exp(lam1 - mid) + w2 * math.exp(lam2 - 2 * mid) > 1.0:
+            if log_mass(mid) > 0.0:
                 lo = mid
             else:
                 hi = mid
         z = 0.5 * (lo + hi)
-        w1 *= math.exp(lam1 - z)
-        w2 *= math.exp(lam2 - 2 * z)
-        if w1 < threshold:
+        lw1 += lam1 - z
+        lw2 += lam2 - 2 * z
+        if math.exp(lw1) < threshold:
             return it, z
     raise AssertionError("reference recursion did not collapse")
 
@@ -369,6 +377,8 @@ def test_collapse_oracle_early_exit_is_exact(data):
     ({"kind": "uniform", "lo": -3.0, "hi": -1.0}, {"kind": "uniform", "lo": 0.0, "hi": 2.0}),
     ({"kind": "gaussian", "mean": 60.0, "variance": 1.0}, GAUSSIAN),
     ({"kind": "gaussian", "mean": -1.0, "variance": 1.0}, GAUSSIAN),
+    # log moments near 400 and 800: the oracle's linear-space mass overflowed
+    ({"kind": "gaussian", "mean": 400.0, "variance": 1.0}, GAUSSIAN),
 ])
 def test_cli_collapse_target_ignores_a_shift_of_the_model(tmp_path, shifted, unshifted):
     # a shift of the increment law moves every z by the same amount and

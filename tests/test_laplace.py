@@ -37,16 +37,22 @@ def corpus(std_gaussian):
 
 
 @hst.composite
-def measures(draw, zero_atom=hst.booleans()):
-    """1-6 atoms at u > 0, plus (when `zero_atom` draws True) an atom at u = 0
-    whose mass stays below 1, so that a normalizing shift exists."""
+def measures(draw):
+    """1-6 atoms at u > 0."""
     n = draw(hst.integers(1, 6))
     u = draw(hst.lists(hst.floats(0.1, 4.0), min_size=n, max_size=n, unique=True))
     w = draw(hst.lists(hst.floats(1e-2, 1e2), min_size=n, max_size=n))
-    atoms = list(zip(u, w))
-    if draw(zero_atom):
-        atoms.append((0.0, draw(hst.floats(1e-3, 0.9))))
-    return lp.measure(atoms)
+    return lp.measure(zip(u, w))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, math.inf])
+def test_measure_rejects_an_atom_off_the_positive_axis(bad):
+    # an atom at u = 0 never decays; one error at construction, alone or not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the test
+        for atoms in ([(bad, 0.5)], [(bad, 0.5), (1.0, 0.5)]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                lp.measure(atoms)
 
 
 def test_transform_values(two_atom):
@@ -91,8 +97,6 @@ def test_normalize_idempotent(rho):
     once = lp.normalize(rho)
     assert abs(once.total_mass - 1.0) <= lp.NORMALIZE_TOL
     assert abs(lp.normalizing_shift(once)) < 1e-12
-    # an atom at u = 0 keeps its weight under every shift
-    np.testing.assert_array_equal(once.w[rho.u == 0.0], rho.w[rho.u == 0.0])
 
 
 def test_normalize_negative_shift_case():
@@ -100,15 +104,6 @@ def test_normalize_negative_shift_case():
     alpha = lp.normalizing_shift(rho)
     assert alpha < 0
     assert abs(lp.normalize(rho).total_mass - 1.0) < 1e-12
-
-
-def test_normalize_degenerate_measures():
-    with pytest.raises(ValueError):
-        lp.normalize(lp.point_mass(0.0, 2.0))
-    with pytest.raises(ValueError):
-        lp.normalize(lp.measure([(0.0, 1.5), (1.0, 0.3)]))
-    # exactly unit mass at u=0 is already normalized
-    assert lp.normalizing_shift(lp.point_mass(0.0, 1.0)) == 0.0
 
 
 def test_convolve_single_atom_gives_front_velocity(std_gaussian, unit_uniform):
@@ -165,11 +160,11 @@ def test_steeper_closed_forms():
 
 
 @settings(max_examples=100, deadline=None)
-@given(measures(zero_atom=hst.just(False)), hst.floats(-5.0, 5.0))
+@given(measures(), hst.floats(-5.0, 5.0))
 @example(lp.measure([(0.7, 0.4), (2.0, 0.6)]), 1.3)
 def test_steeper_reflexive_and_translates(rho, offset):
-    f = lp.intensity_from_measure(rho)
-    shifted = lp.intensity_from_measure(rho, offset)
+    f = lp.TailIntensity(rho)
+    shifted = lp.TailIntensity(rho, offset)
     assert lp.steeper(f, f, LEVELS).holds
     assert lp.steeper(f, shifted, LEVELS).holds
     assert lp.steeper(shifted, f, LEVELS).holds
@@ -190,8 +185,8 @@ def test_gap_functional_exponential_closed_form():
 
 
 def test_gap_functional_translation_invariance(two_atom):
-    a = lp.gap_functional(lp.intensity_from_measure(two_atom), 1.0)
-    b = lp.gap_functional(lp.intensity_from_measure(two_atom, offset=2.5), 1.0)
+    a = lp.gap_functional(lp.TailIntensity(two_atom), 1.0)
+    b = lp.gap_functional(lp.TailIntensity(two_atom, 2.5), 1.0)
     assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -199,7 +194,7 @@ def test_gap_functional_equals_integral_over_exact_crossings(std_gaussian, corpu
     # the quadrature runs over a bracket that contains [F^-1(40), F^-1(1e-13)];
     # what lies between the two ranges is below e^-40 and 1e-13
     for rho in corpus[:10] + [lp.convolve_g(rho, std_gaussian) for rho in corpus[10:15]]:
-        f = lp.intensity_from_measure(rho, offset=0.6)
+        f = lp.TailIntensity(rho, 0.6)
         x_lo, x_hi = f.inverse(np.array([40.0, lp.TAIL_BUDGET]))
         for u in (0.5, 3.0):
             def integrand(x: float) -> float:
@@ -224,48 +219,6 @@ def test_gap_functional_equality_single_atom(std_gaussian):
     out = lp.convolve_g(rho, std_gaussian)
     for u in (0.5, 2.0):
         assert abs(lp.gap_functional(out, u) - lp.gap_functional(rho, u)) <= 1e-9
-
-
-def test_level_functional_substitution_oracle():
-    # shape w e^{-w} against a pure exponential integrates to one
-    w = np.geomspace(1e-6, 40.0, 4001)
-    vals = w * np.exp(-w)
-    vals[0] = vals[-1] = 0.0
-    f = lp.exponential_intensity(1.0)
-    assert lp.level_functional(f, w, vals) == pytest.approx(1.0, abs=2e-3)
-
-
-def test_level_functional_zero_shape():
-    w = np.linspace(0.0, 5.0, 11)
-    assert lp.level_functional(lp.exponential_intensity(1.0), w, np.zeros(11)) == 0.0
-
-
-def test_level_functional_translation_invariance(two_atom):
-    w = np.linspace(0.0, 4.0, 201)
-    vals = np.maximum(0.0, 1.0 - np.abs(w - 1.5))
-    vals[0] = vals[-1] = 0.0
-    a = lp.level_functional(lp.intensity_from_measure(two_atom), w, vals)
-    b = lp.level_functional(lp.intensity_from_measure(two_atom, offset=-1.1), w, vals)
-    assert a == pytest.approx(b, abs=1e-9)
-
-
-def test_level_functional_requires_vanishing_shape():
-    w = np.linspace(0.1, 5.0, 11)
-    with pytest.raises(ValueError):
-        lp.level_functional(lp.exponential_intensity(1.0), w, np.ones(11))
-
-
-def test_level_functional_decreases_under_convolution(std_gaussian, corpus):
-    w = np.linspace(0.0, 6.0, 301)
-    shapes = [np.maximum(0.0, 1.0 - np.abs(w - c) / 0.8) for c in (1.0, 2.5)]
-    for vals in shapes:
-        vals[0] = vals[-1] = 0.0
-    for rho in corpus[:15]:
-        out = lp.convolve_g(rho, std_gaussian)
-        for vals in shapes:
-            a = lp.level_functional(out, w, vals)
-            b = lp.level_functional(rho, w, vals)
-            assert a <= b + 1e-8
 
 
 def test_expected_gap_closed_form():
@@ -315,7 +268,7 @@ def test_contraction_drives_out_the_small_atom(std_gaussian, two_atom):
 
 
 def test_intensity_inverse_round_trip(two_atom):
-    f = lp.intensity_from_measure(two_atom, offset=0.3)
+    f = lp.TailIntensity(two_atom, 0.3)
     for t in (0.05, 0.4, 3.0, 50.0):
         x = f.inverse(t)
         assert f.value(x) == pytest.approx(t, rel=1e-9)
@@ -328,7 +281,7 @@ def _many_atoms(n: int, seed: int) -> lp.LaplaceMeasure:
 
 
 def test_intensity_inverse_newton_path():
-    f = lp.intensity_from_measure(_many_atoms(2000, 31), offset=-0.7)
+    f = lp.TailIntensity(_many_atoms(2000, 31), -0.7)
     ts = np.geomspace(1e-4, 1e4, 700)
     xs = f.inverse(ts)
     np.testing.assert_allclose(f.value(xs), ts, rtol=1e-9, atol=0)
@@ -345,7 +298,7 @@ def test_intensity_inverse_hits_the_level(data):
     w = data.draw(hst.lists(hst.floats(1e-3, 1e3), min_size=n, max_size=n))
     offset = data.draw(hst.floats(-5.0, 5.0))
     ts = np.array(data.draw(hst.lists(hst.floats(1e-6, 1e6), min_size=1, max_size=8)))
-    f = lp.intensity_from_measure(lp.measure(zip(u, w)), offset=offset)
+    f = lp.TailIntensity(lp.measure(zip(u, w)), offset)
     np.testing.assert_allclose(f.value(f.inverse(ts)), ts, rtol=1e-10, atol=0)
 
 
@@ -360,7 +313,7 @@ def test_intensity_bracket_holds_the_crossing(data):
     below = data.draw(hst.lists(hst.floats(1e-6, 1.0, exclude_max=True), min_size=1, max_size=4))
     above = data.draw(hst.lists(hst.floats(1.0, 1e6, exclude_min=True), min_size=1, max_size=4))
     logt = np.log(rho.total_mass * np.array(below + above))
-    lo, hi = lp.intensity_from_measure(rho)._bracket(logt)
+    lo, hi = lp.TailIntensity(rho)._bracket(logt)
     assert np.all(lo <= hi)
     # lo and hi come back through log w - x u, so rounding scales with the logs
     ulps = 4 * np.finfo(float).eps * (1.0 + np.abs(logt) + np.abs(rho.log_w).max())
@@ -368,21 +321,8 @@ def test_intensity_bracket_holds_the_crossing(data):
     assert np.all(lp.log_transform(rho, hi) <= logt + ulps)
 
 
-def test_intensity_rejects_an_atom_at_zero():
-    # one error at construction, whether the atom at u = 0 is alone or not
-    for rho in (lp.point_mass(0.0, 0.5), lp.measure([(0.0, 0.3), (1.0, 0.7)])):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the test
-            with pytest.raises(ValueError, match="u > 0"):
-                lp.intensity_from_measure(rho)
-            with pytest.raises(ValueError, match="u > 0"):
-                lp.gap_functional(rho, 1.0)
-            with pytest.raises(ValueError, match="u > 0"):
-                lp.expected_gap(rho, 1)
-
-
 def test_intensity_inverse_independent_of_blocks(monkeypatch):
-    f = lp.intensity_from_measure(_many_atoms(40, 32), offset=0.4)
+    f = lp.TailIntensity(_many_atoms(40, 32), 0.4)
     ts = np.geomspace(1e-9, 1e9, 301)
     default = f.inverse(ts)
     # Newton stops block by block, so a level may take one more step in
@@ -394,7 +334,7 @@ def test_intensity_inverse_independent_of_blocks(monkeypatch):
 
 def test_intensity_inverse_memory_is_flat():
     # one (level, atom) array of 400 levels on 10^4 atoms takes 32 MB
-    f = lp.intensity_from_measure(_many_atoms(10_000, 33))
+    f = lp.TailIntensity(_many_atoms(10_000, 33))
     ts = np.cumsum(np.random.default_rng(34).exponential(size=(200, 2)), axis=1).ravel()
     f.inverse(ts)
     tracemalloc.start()
@@ -407,7 +347,7 @@ def test_intensity_inverse_memory_is_flat():
 
 
 @settings(max_examples=100, deadline=None)
-@given(measures(zero_atom=hst.just(False)), hst.floats(-5.0, 5.0))
+@given(measures(), hst.floats(-5.0, 5.0))
 @example(lp.measure([(1.0, 0.5), (2.0, 0.5)]), 1.2)
 def test_intensity_normalized(rho, offset):
     f = lp.TailIntensity(rho, offset).normalized()
