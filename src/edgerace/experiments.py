@@ -66,7 +66,7 @@ class ExperimentSpec:
     seed: int
     model: dict = field(default_factory=lambda: {"kind": "gaussian", "mean": 0.0, "variance": 1.0})
     s: float = 1.0
-    threads: int | None = None
+    threads: int = 1
     out: str | None = None
     params: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
@@ -82,7 +82,7 @@ class ExperimentSpec:
         return _DEFAULTS[self.name]["tolerances"][key]
 
     def key(self) -> StreamKey:
-        return (int(self.seed),)
+        return (self.seed,)
 
 
 def _number(key: str, value, minimum: float, integer: bool = False) -> float | int:
@@ -100,21 +100,20 @@ def _number(key: str, value, minimum: float, integer: bool = False) -> float | i
     return int(value) if integer else float(value)
 
 
-def _check_param(key: str, value, default) -> None:
-    """Type- and range-check one experiment option against its default's type."""
+def _check_param(key: str, value, default):
+    """One experiment option, checked and converted to its default's type."""
     if isinstance(default, int):
-        _number(key, value, 1, integer=True)
-    elif isinstance(default, float):
-        _number(key, value, -math.inf)
-    elif key == "taus":
+        return _number(key, value, 1, integer=True)
+    if isinstance(default, float):
+        return _number(key, value, -math.inf)
+    if key == "taus":
         if not isinstance(value, list) or not value:
             raise SpecError(f"taus must be a nonempty list of integers, got {value!r}")
-        for tau in value:
-            _number("taus entry", tau, 1, integer=True)
-    elif key == "battery":
-        if not isinstance(value, list) or not all(
-                isinstance(f, dict) and {"x", "y"} <= set(f) for f in value):
-            raise SpecError("battery must be a list of objects with keys x and y")
+        return [_number("taus entry", tau, 1, integer=True) for tau in value]
+    if not isinstance(value, list) or not all(
+            isinstance(f, dict) and {"x", "y"} <= set(f) for f in value):
+        raise SpecError("battery must be a list of objects with keys x and y")
+    return value
 
 
 def parse_spec(data: dict) -> ExperimentSpec:
@@ -140,9 +139,10 @@ def parse_spec(data: dict) -> ExperimentSpec:
     # manifests that carry "auto" keep working
     if data.get("backend", "auto") != "auto":
         raise SpecError(f"backend must be 'auto', got {data['backend']!r}")
-    threads = data.get("threads")
-    if threads is not None:
-        threads = _number("threads", threads, 1, integer=True)
+    threads = _number("threads", data.get("threads", 1), 1, integer=True)
+    out = data.get("out")
+    if "out" in data and not (isinstance(out, str) and out):
+        raise SpecError(f"out must be a nonempty string, got {out!r}")
     known = {"experiment", "seed", "model", "s", "backend", "threads", "out",
              "tolerances"}
     params = {k: v for k, v in data.items() if k not in known}
@@ -150,7 +150,7 @@ def parse_spec(data: dict) -> ExperimentSpec:
     for k, v in params.items():
         if k not in defaults:
             raise SpecError(f"unknown option {k!r} for experiment {name}")
-        _check_param(k, v, defaults[k])
+        params[k] = _check_param(k, v, defaults[k])
     options = {**defaults, **params}
     if name == "gaps" and options["k_max"] > options["n_max"] + 1:
         raise SpecError(f"k_max must be at most n_max + 1, the gaps a replica holds; "
@@ -164,12 +164,13 @@ def parse_spec(data: dict) -> ExperimentSpec:
     bad_tol = set(tolerances) - set(defaults["tolerances"])
     if bad_tol:
         raise SpecError(f"unknown tolerance keys {sorted(bad_tol)} for experiment {name}")
-    for k, v in tolerances.items():
-        _number(f"tolerance {k}", v, 0.0)
+    tolerances = {k: _number(f"tolerance {k}", v, 0.0,
+                             integer=isinstance(defaults["tolerances"][k], int))
+                  for k, v in tolerances.items()}
     if "alpha" in tolerances and tolerances["alpha"] not in st.KS_COEFF:
         raise SpecError(f"tolerance alpha must be one of {sorted(st.KS_COEFF)}")
     return ExperimentSpec(name=name, seed=seed, model=model, s=s, threads=threads,
-                          out=data.get("out"), params=params, tolerances=dict(tolerances))
+                          out=out, params=params, tolerances=tolerances)
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,6 @@ class ExperimentReport:
     spec: ExperimentSpec
     metrics: list[Metric]
     tables: dict[str, tuple[list[str], list[list]]]  # name -> (header, rows)
-    tolerances_used: dict[str, float]
 
     @property
     def verdict(self) -> bool:
@@ -214,9 +214,9 @@ def _spacings(positions: np.ndarray) -> np.ndarray:
 
 def _run_velocity(spec: ExperimentSpec) -> ExperimentReport:
     model = inc.model_from_dict(spec.model)
-    tau = int(spec.param("taus")[0])
-    depth = int(spec.param("depth"))
-    reps = int(spec.param("ensemble"))
+    tau = spec.param("taus")[0]
+    depth = spec.param("depth")
+    reps = spec.param("ensemble")
     band = spec.tolerance("velocity_band")
     target = inc.front_velocity(model, spec.s)
     key = spec.key()
@@ -238,15 +238,14 @@ def _run_velocity(spec: ExperimentSpec) -> ExperimentReport:
                          [[t + 1, fmt17(trace.leaders[t]), fmt17(trace.displacements[t]),
                            int(trace.dropped[t])] for t in range(tau)]),
     }
-    return ExperimentReport(spec, metrics, tables,
-                            {"velocity_band": band, "target": target})
+    return ExperimentReport(spec, metrics, tables)
 
 
 def _run_rem_stationarity(spec: ExperimentSpec) -> ExperimentReport:
     model = inc.model_from_dict(spec.model)
-    reps = int(spec.param("ensemble"))
-    depth = int(spec.param("depth"))
-    k_max = int(spec.param("k_max"))
+    reps = spec.param("ensemble")
+    depth = spec.param("depth")
+    k_max = spec.param("k_max")
     battery = [(np.asarray(f["x"], dtype=float), np.asarray(f["y"], dtype=float))
                for f in spec.param("battery")]
     alpha = spec.tolerance("alpha")
@@ -293,15 +292,14 @@ def _run_rem_stationarity(spec: ExperimentSpec) -> ExperimentReport:
                                          sigmas * combined))
             rows.append([f"battery_{i}", fmt17(gap), fmt17(sigmas * combined)])
     tables = {"ks_statistics": (["gap_or_label", "statistic", "critical"], rows)}
-    return ExperimentReport(spec, metrics, tables,
-                            {"alpha": alpha, "battery_sigmas": sigmas})
+    return ExperimentReport(spec, metrics, tables)
 
 
 def _run_backward_tilt(spec: ExperimentSpec) -> ExperimentReport:
     model = inc.model_from_dict(spec.model)
-    reps = int(spec.param("ensemble"))
-    depth = int(spec.param("depth"))
-    top = int(spec.param("top"))
+    reps = spec.param("ensemble")
+    depth = spec.param("depth")
+    top = spec.param("top")
     alpha = spec.tolerance("alpha")
     cert_tol = spec.tolerance("truncation")
     key = spec.key()
@@ -338,16 +336,16 @@ def _run_backward_tilt(spec: ExperimentSpec) -> ExperimentReport:
     quantiles = np.quantile(sample, qs)
     tables = {"increment_quantiles": (["quantile", "value"],
                                       [[fmt17(q), fmt17(v)] for q, v in zip(qs, quantiles)])}
-    return ExperimentReport(spec, metrics, tables, {"alpha": alpha, "truncation": cert_tol})
+    return ExperimentReport(spec, metrics, tables)
 
 
 def _run_poissonize(spec: ExperimentSpec) -> ExperimentReport:
     model = inc.model_from_dict(spec.model)
-    n_configs = int(spec.param("ensemble"))
-    depth = int(spec.param("depth"))
-    taus = [int(t) for t in spec.param("taus")]
-    rt_tau = int(spec.param("roundtrip_tau"))
-    rt_reps = int(spec.param("roundtrip_reps"))
+    n_configs = spec.param("ensemble")
+    depth = spec.param("depth")
+    taus = spec.param("taus")
+    rt_tau = spec.param("roundtrip_tau")
+    rt_reps = spec.param("roundtrip_reps")
     alpha = spec.tolerance("alpha")
     min_ratio = spec.tolerance("min_ratio")
     key = spec.key()
@@ -394,8 +392,7 @@ def _run_poissonize(spec: ExperimentSpec) -> ExperimentReport:
         "extracted_measure": (["u", "w"],
                               [[fmt17(u), fmt17(w)] for u, w in zip(ext.measure.u, ext.measure.w)]),
     }
-    return ExperimentReport(spec, metrics, tables,
-                            {"alpha": alpha, "min_ratio": min_ratio})
+    return ExperimentReport(spec, metrics, tables)
 
 
 def _collapse_oracle(lam1: float, lam2: float, threshold: float) -> tuple[int, float]:
@@ -442,10 +439,10 @@ def _collapse_oracle(lam1: float, lam2: float, threshold: float) -> tuple[int, f
 
 def _run_contraction(spec: ExperimentSpec) -> ExperimentReport:
     model = inc.model_from_dict(spec.model)
-    corpus_n = int(spec.param("corpus"))
+    corpus_n = spec.param("corpus")
     slack = spec.tolerance("slack")
     threshold = spec.tolerance("atom_threshold")
-    margin = int(spec.tolerance("oracle_margin"))
+    margin = spec.tolerance("oracle_margin")
     key = spec.key()
     corpus = lp.random_corpus(corpus_n, substream(key, 0))
     levels = np.geomspace(1e-4, 1e4, 81)
@@ -494,18 +491,16 @@ def _run_contraction(spec: ExperimentSpec) -> ExperimentReport:
     ]
     tables = {"collapse_track": (["iteration", "weight_small_u", "weight_large_u", "shift"],
                                  track_rows)}
-    return ExperimentReport(spec, metrics, tables,
-                            {"slack": slack, "atom_threshold": threshold,
-                             "oracle_margin": margin})
+    return ExperimentReport(spec, metrics, tables)
 
 
 def _run_tails(spec: ExperimentSpec) -> ExperimentReport:
     model = inc.model_from_dict(spec.model)
-    taus = [int(t) for t in spec.param("taus")]
-    tau_main = int(spec.param("tau_main"))
-    q = float(spec.param("q"))
-    x = float(spec.param("x"))
-    mc_samples = int(spec.param("mc_samples"))
+    taus = spec.param("taus")
+    tau_main = spec.param("tau_main")
+    q = spec.param("q")
+    x = spec.param("x")
+    mc_samples = spec.param("mc_samples")
     rel_tol = spec.tolerance("relative")
     key = spec.key()
 
@@ -529,13 +524,13 @@ def _run_tails(spec: ExperimentSpec) -> ExperimentReport:
         Metric("discrepancy_strictly_decreasing", float(decreasing), 1.0, 0.0, decreasing),
     ]
     tables = {"tail_ratios": (["tau", "ratio", "prediction", "discrepancy"], rows)}
-    return ExperimentReport(spec, metrics, tables, {"relative": rel_tol})
+    return ExperimentReport(spec, metrics, tables)
 
 
 def _run_gaps(spec: ExperimentSpec) -> ExperimentReport:
-    reps = int(spec.param("ensemble"))
-    n_max = int(spec.param("n_max"))
-    k_max = int(spec.param("k_max"))
+    reps = spec.param("ensemble")
+    n_max = spec.param("n_max")
+    k_max = spec.param("k_max")
     alpha = spec.tolerance("alpha")
     sigmas = spec.tolerance("sigmas")
     quad_tol = spec.tolerance("quadrature")
@@ -564,8 +559,7 @@ def _run_gaps(spec: ExperimentSpec) -> ExperimentReport:
         err = abs(lp.expected_gap(intensity, n) - 1.0 / (n * spec.s))
         metrics.append(_below_metric(f"quadrature_gap_error_{n}", err, quad_tol))
     tables = {"gap_means": (["rank", "mean", "target", "se"], rows)}
-    return ExperimentReport(spec, metrics, tables,
-                            {"alpha": alpha, "sigmas": sigmas, "quadrature": quad_tol})
+    return ExperimentReport(spec, metrics, tables)
 
 
 _RUNNERS: dict[str, Callable[[ExperimentSpec], ExperimentReport]] = {
@@ -628,7 +622,8 @@ def write_report(report: ExperimentReport, outdir: str) -> list[str]:
         "s": report.spec.s,
         "backend": "auto",  # the only value the key takes; recorded manifests carry it
         "params": report.spec.params,
-        "tolerances": report.tolerances_used,
+        "tolerances": {k: report.spec.tolerance(k)
+                       for k in _DEFAULTS[report.spec.name]["tolerances"]},
         "metrics": {m.name: bool(m.passed) for m in report.metrics},
         "verdict": "pass" if report.verdict else "fail",
     }

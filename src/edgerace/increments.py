@@ -584,14 +584,22 @@ _MODEL_KEYS = {"gaussian": ("mean", "variance"), "uniform": ("lo", "hi", "grid_p
 
 def model_from_dict(spec: dict) -> IncrementModel:
     """Build a model from a configuration mapping: its kind and only the keys
-    _MODEL_KEYS gives that kind, so a misspelt key cannot fall back to a default."""
+    _MODEL_KEYS gives that kind, so a misspelt key cannot fall back to a default.
+    A gaussian or uniform value must be a number (not a bool or a string), and
+    grid_points a whole one, so that no value is coerced or truncated."""
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _MODEL_KEYS:
         raise ValueError(f"unknown model kind {kind!r}")
-    for key in spec:
+    for key, value in spec.items():
         if key != "kind" and key not in _MODEL_KEYS[kind]:
             raise ValueError(f"unknown key {key!r} for a {kind} model "
                              f"(known: {', '.join(_MODEL_KEYS[kind])})")
+        if key == "kind" or kind == "tabulated":
+            continue
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or key == "grid_points" and value % 1 != 0):
+            noun = "an integer" if key == "grid_points" else "a number"
+            raise ValueError(f"{kind} {key} must be {noun}, got {value!r}")
     if kind == "gaussian":
         return gaussian(float(spec.get("mean", 0.0)), float(spec.get("variance", 1.0)))
     if kind == "uniform":

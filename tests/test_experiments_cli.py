@@ -179,21 +179,37 @@ def test_write_report_concurrent_writers(tmp_path):
     # a post-step window shorter than top: found while the run draws it
     ("backward-tilt", {"ensemble": 20, "depth": 30, "top": 50}),
     ("rem-stationarity", {"ensemble": 20, "depth": 4, "k_max": 3}),
+    # model values are JSON numbers, never coerced or truncated
+    ("contraction", {"corpus": 2, "model": {"kind": "gaussian", "mean": "0.5"}}),
+    ("contraction", {"corpus": 2, "model": {"kind": "gaussian", "variance": True}}),
+    ("contraction", {"corpus": 2, "model": {"kind": "uniform", "grid_points": 201.9}}),
+    ("contraction", {"corpus": 2, "model": {"kind": "uniform", "grid_points": "301"}}),
+    # the collapse band is a whole number of iterations
+    ("contraction", {"corpus": 2, "tolerances": {"oracle_margin": 0.4}}),
+    ("contraction", {"corpus": 2, "tolerances": {"oracle_margin": 1.5}}),
+    # an output directory given in the config (these run without --out)
+    ("gaps", {"out": 5}),
+    ("gaps", {"out": True}),
+    ("gaps", {"out": ["a"]}),
+    ("gaps", {"out": ""}),
 ])
-def test_cli_bad_config_is_usage_error(tmp_path, capsys, experiment, override):
+def test_cli_bad_config_is_usage_error(tmp_path, capsys, monkeypatch, experiment, override):
     data = {"experiment": experiment, "seed": 3}
     if experiment == "gaps":
         data.update({"ensemble": 300, "n_max": 2, "k_max": 1})
     data.update(override)
     config = tmp_path / "c.json"
     config.write_text(json.dumps(data))
-    out_dir = tmp_path / "out"
-    assert cli.main(["run", str(config), "--out", str(out_dir)]) == 2
+    monkeypatch.chdir(tmp_path)  # a report written to a relative path would land here
+    args = ["run", str(config)]
+    if "out" not in override:
+        args += ["--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("edgerace: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
-    assert not out_dir.exists()
+    assert os.listdir(tmp_path) == ["c.json"]
 
 
 FUZZ_MODELS = (GAUSSIAN, {"kind": "gaussian", "mean": 0.5, "variance": 0.25},
@@ -267,6 +283,11 @@ def test_cli_exit_code_contract(data):
     # a misspelt key must not fall back to the default it misses
     ({"kind": "gaussian", "mean": 0.0, "varience": 4.0}, "unknown key 'varience'"),
     ({"kind": "gaussian", "grid_points": 5}, "unknown key 'grid_points'"),
+    # the strings above stop at the type check; JSON's NaN and Infinity reach
+    # the range check
+    ({"kind": "gaussian", "variance": math.nan}, "variance"),
+    ({"kind": "gaussian", "mean": -math.inf}, "mean"),
+    ({"kind": "uniform", "hi": math.inf}, "hi"),
 ])
 def test_cli_model_parameters_are_range_checked(tmp_path, capsys, model, parameter):
     config = tmp_path / "c.json"
@@ -294,7 +315,8 @@ def test_parse_spec_types_and_ranges():
         with pytest.raises(ex.SpecError):
             ex.parse_spec({**base, **bad})
     spec = ex.parse_spec({**base, "s": 2, "threads": 2, "ensemble": 3.0})
-    assert (spec.s, spec.threads, spec.params["ensemble"]) == (2.0, 2, 3.0)
+    assert (spec.s, spec.threads, spec.params["ensemble"]) == (2.0, 2, 3)
+    assert type(spec.params["ensemble"]) is int
     assert ex.parse_spec({**base, "backend": "auto"}) == ex.parse_spec(base)
 
 
@@ -452,6 +474,18 @@ def test_cli_run_metric_failure_still_writes_report(tmp_path):
     assert "false" in report
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["verdict"] == "fail"
+
+
+def test_integral_float_option_writes_the_same_report(tmp_path):
+    # 300.0 is the integer 300 once parsed, in the run and in manifest.json
+    files = []
+    for ensemble in (300, 300.0):
+        spec = ex.parse_spec({"experiment": "gaps", "seed": 3, "ensemble": ensemble,
+                              "n_max": 2, "k_max": 1})
+        out = tmp_path / repr(ensemble)
+        ex.write_report(ex.run(spec), str(out))
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert files[0] == files[1]
 
 
 def test_reports_byte_identical_across_thread_counts(tmp_path):
