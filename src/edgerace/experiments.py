@@ -24,7 +24,7 @@ from . import laplace as lp
 from . import poissonization as pz
 from . import stats as st
 from .numerics import fmt17
-from .streams import StreamKey, generator, replica_map, substream
+from .streams import generator, replica_map, substream
 
 DESCRIPTIONS = {
     "velocity": "front speed of exponential-edge ensembles against the cumulant prediction",
@@ -55,6 +55,11 @@ _DEFAULTS: dict[str, dict] = {
              "tolerances": {"alpha": 0.01, "sigmas": 3.0, "quadrature": 1e-8}},
 }
 
+# each model kind's keys and defaults; None marks a list with no default
+_MODELS: dict[str, dict] = {"gaussian": {"mean": 0.0, "variance": 1.0},
+                            "uniform": {"lo": 0.0, "hi": 1.0, "grid_points": 2001},
+                            "tabulated": {"grid": None, "density": None}}
+
 
 class SpecError(ValueError):
     """Configuration problems that should surface as usage errors (exit 2)."""
@@ -62,27 +67,18 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A run's configuration as `parse_spec` settled it; `model` and `params` are as given."""
+
     name: str
     seed: int
-    model: dict = field(default_factory=lambda: {"kind": "gaussian", "mean": 0.0, "variance": 1.0})
-    s: float = 1.0
-    threads: int = 1
-    out: str | None = None
-    params: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-
-    def param(self, key: str):
-        if key in self.params:
-            return self.params[key]
-        return _DEFAULTS[self.name][key]
-
-    def tolerance(self, key: str) -> float:
-        if key in self.tolerances:
-            return self.tolerances[key]
-        return _DEFAULTS[self.name]["tolerances"][key]
-
-    def key(self) -> StreamKey:
-        return (self.seed,)
+    model: dict
+    increment_model: inc.IncrementModel = field(compare=False)  # arrays break ==
+    s: float
+    threads: int
+    out: str | None
+    params: dict
+    options: dict
+    tolerances: dict
 
 
 def _number(key: str, value, minimum: float, integer: bool = False) -> float | int:
@@ -101,36 +97,59 @@ def _number(key: str, value, minimum: float, integer: bool = False) -> float | i
 
 
 def _check_param(key: str, value, default):
-    """One experiment option, checked and converted to its default's type."""
+    """One option or model value, checked and typed like its default; a list is nonempty,
+    entries typed like the default's first (None: finite numbers), a battery as given."""
     if isinstance(default, int):
         return _number(key, value, 1, integer=True)
     if isinstance(default, float):
         return _number(key, value, -math.inf)
-    if key == "taus":
-        if not isinstance(value, list) or not value:
-            raise SpecError(f"taus must be a nonempty list of integers, got {value!r}")
-        return [_number("taus entry", tau, 1, integer=True) for tau in value]
-    if not isinstance(value, list) or not all(
-            isinstance(f, dict) and {"x", "y"} <= set(f) for f in value):
-        raise SpecError("battery must be a list of objects with keys x and y")
-    return value
+    if key == "battery":
+        if not isinstance(value, list) or not all(
+                isinstance(f, dict) and set(f) == {"x", "y"} for f in value):
+            raise SpecError("battery must be a list of objects with keys x and y only")
+        for f in value:
+            if len(_check_param("battery x", f["x"], None)) != len(
+                    _check_param("battery y", f["y"], None)):
+                raise SpecError(f"battery x and y must have the same length, got {f!r}")
+        return value
+    if not isinstance(value, list) or not value:
+        raise SpecError(f"{key} must be a nonempty list of numbers, got {value!r}")
+    return [_check_param(f"{key} entry", v, default[0] if default else 0.0) for v in value]
+
+
+def _build_model(model: dict) -> inc.IncrementModel:
+    """The model a config names, each value checked against `_MODELS`."""
+    kind = model.get("kind")
+    if not isinstance(kind, str) or kind not in _MODELS:
+        raise SpecError(f"unknown model kind {kind!r}")
+    schema = _MODELS[kind]
+    values = {"kind": kind, **schema}
+    for key, value in model.items():
+        if key not in values:
+            raise SpecError(f"unknown key {key!r} for a {kind} model "
+                            f"(known: {', '.join(schema)})")
+        if key != "kind":
+            values[key] = _check_param(f"{kind} {key}", value, schema[key])
+    if None in values.values():  # only the tabulated kind has keys without a default
+        raise SpecError(f"a {kind} model needs {' and '.join(schema)}")
+    return inc.model_from_dict(values)
 
 
 def parse_spec(data: dict) -> ExperimentSpec:
     if not isinstance(data, dict):
         raise SpecError("configuration must be a JSON object")
     name = data.get("experiment")
-    if name not in DESCRIPTIONS:
+    if not isinstance(name, str) or name not in DESCRIPTIONS:
         raise SpecError(f"unknown experiment name {name!r}; see `edgerace list`")
     if "seed" not in data:
         raise SpecError("a seed is required; wall-clock seeding is not supported")
     seed = _number("seed", data["seed"], 0, integer=True)
-    model = data.get("model", {"kind": "gaussian", "mean": 0.0, "variance": 1.0})
+    model = data.get("model", {"kind": "gaussian", **_MODELS["gaussian"]})
     if not isinstance(model, dict):
         raise SpecError("model must be a JSON object")
     try:
-        inc.model_from_dict(model)
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        increment_model = _build_model(model)
+    except (ValueError, OverflowError) as err:  # SpecError included
         raise SpecError(f"bad model specification: {err}") from None
     s = _number("s", data.get("s", 1.0), 0.0)
     if s <= 0:
@@ -155,6 +174,8 @@ def parse_spec(data: dict) -> ExperimentSpec:
     if name == "gaps" and options["k_max"] > options["n_max"] + 1:
         raise SpecError(f"k_max must be at most n_max + 1, the gaps a replica holds; "
                         f"got k_max {options['k_max']!r} with n_max {options['n_max']!r}")
+    if name == "velocity" and len(options["taus"]) != 1:
+        raise SpecError(f"velocity runs one tau; got taus {options['taus']!r}")
     if name == "rem-stationarity" and options["k_max"] >= options["depth"]:
         raise SpecError(f"k_max must be below depth, the particles a replica holds; "
                         f"got k_max {options['k_max']!r} with depth {options['depth']!r}")
@@ -164,13 +185,14 @@ def parse_spec(data: dict) -> ExperimentSpec:
     bad_tol = set(tolerances) - set(defaults["tolerances"])
     if bad_tol:
         raise SpecError(f"unknown tolerance keys {sorted(bad_tol)} for experiment {name}")
-    tolerances = {k: _number(f"tolerance {k}", v, 0.0,
-                             integer=isinstance(defaults["tolerances"][k], int))
-                  for k, v in tolerances.items()}
+    tolerances = {**defaults["tolerances"], **{
+        k: _number(f"tolerance {k}", v, 0.0, integer=isinstance(defaults["tolerances"][k], int))
+        for k, v in tolerances.items()}}
     if "alpha" in tolerances and tolerances["alpha"] not in st.KS_COEFF:
         raise SpecError(f"tolerance alpha must be one of {sorted(st.KS_COEFF)}")
-    return ExperimentSpec(name=name, seed=seed, model=model, s=s, threads=threads,
-                          out=out, params=params, tolerances=tolerances)
+    return ExperimentSpec(name=name, seed=seed, model=model, increment_model=increment_model,
+                          s=s, threads=threads, out=out, params=params, options=options,
+                          tolerances=tolerances)
 
 
 @dataclass(frozen=True)
@@ -213,13 +235,13 @@ def _spacings(positions: np.ndarray) -> np.ndarray:
 
 
 def _run_velocity(spec: ExperimentSpec) -> ExperimentReport:
-    model = inc.model_from_dict(spec.model)
-    tau = spec.param("taus")[0]
-    depth = spec.param("depth")
-    reps = spec.param("ensemble")
-    band = spec.tolerance("velocity_band")
+    model = spec.increment_model
+    (tau,) = spec.options["taus"]
+    depth = spec.options["depth"]
+    reps = spec.options["ensemble"]
+    band = spec.tolerances["velocity_band"]
     target = inc.front_velocity(model, spec.s)
-    key = spec.key()
+    key = (spec.seed,)
 
     def one(r: int) -> tuple[float, dy.EvolutionTrace | None]:
         config = cf.sample_rem(spec.s, 0.0, depth, substream(key, r, 0))
@@ -242,15 +264,15 @@ def _run_velocity(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def _run_rem_stationarity(spec: ExperimentSpec) -> ExperimentReport:
-    model = inc.model_from_dict(spec.model)
-    reps = spec.param("ensemble")
-    depth = spec.param("depth")
-    k_max = spec.param("k_max")
+    model = spec.increment_model
+    reps = spec.options["ensemble"]
+    depth = spec.options["depth"]
+    k_max = spec.options["k_max"]
     battery = [(np.asarray(f["x"], dtype=float), np.asarray(f["y"], dtype=float))
-               for f in spec.param("battery")]
-    alpha = spec.tolerance("alpha")
-    sigmas = spec.tolerance("battery_sigmas")
-    key = spec.key()
+               for f in spec.options["battery"]]
+    alpha = spec.tolerances["alpha"]
+    sigmas = spec.tolerances["battery_sigmas"]
+    key = (spec.seed,)
 
     def one(r: int) -> tuple[np.ndarray, ...]:
         config = cf.sample_rem(spec.s, 0.0, depth, substream(key, r, 0))
@@ -296,13 +318,13 @@ def _run_rem_stationarity(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def _run_backward_tilt(spec: ExperimentSpec) -> ExperimentReport:
-    model = inc.model_from_dict(spec.model)
-    reps = spec.param("ensemble")
-    depth = spec.param("depth")
-    top = spec.param("top")
-    alpha = spec.tolerance("alpha")
-    cert_tol = spec.tolerance("truncation")
-    key = spec.key()
+    model = spec.increment_model
+    reps = spec.options["ensemble"]
+    depth = spec.options["depth"]
+    top = spec.options["top"]
+    alpha = spec.tolerances["alpha"]
+    cert_tol = spec.tolerances["truncation"]
+    key = (spec.seed,)
     tilted = inc.tilt(model, spec.s)
 
     def one(r: int) -> tuple[np.ndarray, float]:
@@ -340,15 +362,15 @@ def _run_backward_tilt(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def _run_poissonize(spec: ExperimentSpec) -> ExperimentReport:
-    model = inc.model_from_dict(spec.model)
-    n_configs = spec.param("ensemble")
-    depth = spec.param("depth")
-    taus = spec.param("taus")
-    rt_tau = spec.param("roundtrip_tau")
-    rt_reps = spec.param("roundtrip_reps")
-    alpha = spec.tolerance("alpha")
-    min_ratio = spec.tolerance("min_ratio")
-    key = spec.key()
+    model = spec.increment_model
+    n_configs = spec.options["ensemble"]
+    depth = spec.options["depth"]
+    taus = spec.options["taus"]
+    rt_tau = spec.options["roundtrip_tau"]
+    rt_reps = spec.options["roundtrip_reps"]
+    alpha = spec.tolerances["alpha"]
+    min_ratio = spec.tolerances["min_ratio"]
+    key = (spec.seed,)
 
     def distances(i: int) -> list[float]:
         config = cf.sample_rem(spec.s, 0.0, depth, substream(key, i, 0))
@@ -438,12 +460,12 @@ def _collapse_oracle(lam1: float, lam2: float, threshold: float) -> tuple[int, f
 
 
 def _run_contraction(spec: ExperimentSpec) -> ExperimentReport:
-    model = inc.model_from_dict(spec.model)
-    corpus_n = spec.param("corpus")
-    slack = spec.tolerance("slack")
-    threshold = spec.tolerance("atom_threshold")
-    margin = spec.tolerance("oracle_margin")
-    key = spec.key()
+    model = spec.increment_model
+    corpus_n = spec.options["corpus"]
+    slack = spec.tolerances["slack"]
+    threshold = spec.tolerances["atom_threshold"]
+    margin = spec.tolerances["oracle_margin"]
+    key = (spec.seed,)
     corpus = lp.random_corpus(corpus_n, substream(key, 0))
     levels = np.geomspace(1e-4, 1e4, 81)
 
@@ -495,14 +517,14 @@ def _run_contraction(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def _run_tails(spec: ExperimentSpec) -> ExperimentReport:
-    model = inc.model_from_dict(spec.model)
-    taus = spec.param("taus")
-    tau_main = spec.param("tau_main")
-    q = spec.param("q")
-    x = spec.param("x")
-    mc_samples = spec.param("mc_samples")
-    rel_tol = spec.tolerance("relative")
-    key = spec.key()
+    model = spec.increment_model
+    taus = spec.options["taus"]
+    tau_main = spec.options["tau_main"]
+    q = spec.options["q"]
+    x = spec.options["x"]
+    mc_samples = spec.options["mc_samples"]
+    rel_tol = spec.tolerances["relative"]
+    key = (spec.seed,)
 
     exact_backend = "gaussian-exact" if model.kind == "gaussian" else "br-approx"
     exact = inc.tail_ratio(model, tau_main, q, x, exact_backend)
@@ -528,13 +550,13 @@ def _run_tails(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def _run_gaps(spec: ExperimentSpec) -> ExperimentReport:
-    reps = spec.param("ensemble")
-    n_max = spec.param("n_max")
-    k_max = spec.param("k_max")
-    alpha = spec.tolerance("alpha")
-    sigmas = spec.tolerance("sigmas")
-    quad_tol = spec.tolerance("quadrature")
-    key = spec.key()
+    reps = spec.options["ensemble"]
+    n_max = spec.options["n_max"]
+    k_max = spec.options["k_max"]
+    alpha = spec.tolerances["alpha"]
+    sigmas = spec.tolerances["sigmas"]
+    quad_tol = spec.tolerances["quadrature"]
+    key = (spec.seed,)
 
     def one(r: int) -> np.ndarray:
         config = cf.sample_rem(spec.s, 0.0, n_max + 2, substream(key, r))
@@ -574,9 +596,7 @@ _RUNNERS: dict[str, Callable[[ExperimentSpec], ExperimentReport]] = {
 
 
 def run(spec: ExperimentSpec) -> ExperimentReport:
-    if spec.name not in _RUNNERS:
-        raise SpecError(f"unknown experiment name {spec.name!r}")
-    return _RUNNERS[spec.name](spec)
+    return _RUNNERS[spec.name](spec)  # parse_spec has checked the name
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -622,8 +642,7 @@ def write_report(report: ExperimentReport, outdir: str) -> list[str]:
         "s": report.spec.s,
         "backend": "auto",  # the only value the key takes; recorded manifests carry it
         "params": report.spec.params,
-        "tolerances": {k: report.spec.tolerance(k)
-                       for k in _DEFAULTS[report.spec.name]["tolerances"]},
+        "tolerances": report.spec.tolerances,
         "metrics": {m.name: bool(m.passed) for m in report.metrics},
         "verdict": "pass" if report.verdict else "fail",
     }

@@ -82,17 +82,15 @@ class IncrementModel:
     params: tuple[float, ...]  # (m, var) / (lo, hi) / ()
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float).view()
-        d = np.asarray(self.density, dtype=float).view()
-        if g.ndim != 1 or g.size < 5 or d.shape != g.shape:
-            raise ValueError("grid and density must be matching 1-d arrays")
+        g, d = _table(self.grid, self.density)
         h = np.diff(g)
         if not np.all(h > 0) or not np.allclose(h, h[0], rtol=1e-6, atol=0):
             raise ValueError("grid must be uniform and strictly increasing")
-        if np.any(d < 0):
-            raise ValueError("density must be nonnegative")
+        # written so that NaN fails both checks
+        if not np.all(d >= 0):
+            raise ValueError("density must be nonnegative and not NaN")
         total = _integrate(g, d)
-        if abs(total - 1.0) > DENSITY_TOL:
+        if not abs(total - 1.0) <= DENSITY_TOL:
             raise ValueError(f"density integrates to {total!r}, not 1 within {DENSITY_TOL}")
         g.setflags(write=False)
         d.setflags(write=False)
@@ -104,6 +102,13 @@ class IncrementModel:
         if self.kind == "gaussian":
             return np.inf
         return float(self.grid[-1])
+
+
+def _table(grid: Sequence[float], density: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    g, d = np.asarray(grid, dtype=float).view(), np.asarray(density, dtype=float).view()
+    if g.ndim != 1 or g.size < 5 or d.shape != g.shape:
+        raise ValueError("grid and density must be matching 1-d arrays of at least 5 points")
+    return g, d
 
 
 def _quad_weights(grid: np.ndarray) -> np.ndarray:
@@ -173,7 +178,7 @@ def _safe_lambda_bounds(grid: np.ndarray, density: np.ndarray) -> tuple[float, f
     return bound(-1.0), bound(+1.0)
 
 
-def gaussian(mean: float = 0.0, variance: float = 1.0) -> IncrementModel:
+def gaussian(mean: float, variance: float) -> IncrementModel:
     # written so that NaN fails the checks too
     if not np.isfinite(mean):
         raise ValueError(f"gaussian mean must be finite, got {mean!r}")
@@ -188,7 +193,7 @@ def gaussian(mean: float = 0.0, variance: float = 1.0) -> IncrementModel:
                           float(mean), float(variance), (float(mean), float(variance)))
 
 
-def uniform(lo: float = 0.0, hi: float = 1.0, *, grid_points: int = 2001) -> IncrementModel:
+def uniform(lo: float, hi: float, *, grid_points: int = 2001) -> IncrementModel:
     for name, value in (("lo", lo), ("hi", hi)):
         if not np.isfinite(value):
             raise ValueError(f"uniform {name} must be finite, got {value!r}")
@@ -203,8 +208,7 @@ def uniform(lo: float = 0.0, hi: float = 1.0, *, grid_points: int = 2001) -> Inc
 
 
 def tabulated(grid: Sequence[float], density: Sequence[float]) -> IncrementModel:
-    grid = np.asarray(grid, dtype=float)
-    density = np.asarray(density, dtype=float)
+    grid, density = _table(grid, density)
     w = _quad_weights(grid)
     mean = float(np.dot(w, grid * density))
     var = float(np.dot(w, (grid - mean) ** 2 * density))
@@ -578,31 +582,11 @@ def log_tail_bound(model: IncrementModel, tau: int, t: np.ndarray) -> np.ndarray
     return out
 
 
-_MODEL_KEYS = {"gaussian": ("mean", "variance"), "uniform": ("lo", "hi", "grid_points"),
-               "tabulated": ("grid", "density")}  # of `model_from_dict`, by kind
-
-
 def model_from_dict(spec: dict) -> IncrementModel:
-    """Build a model from a configuration mapping: its kind and only the keys
-    _MODEL_KEYS gives that kind, so a misspelt key cannot fall back to a default.
-    A gaussian or uniform value must be a number (not a bool or a string), and
-    grid_points a whole one, so that no value is coerced or truncated."""
+    """Build a model from a mapping: its kind picks the constructor, its other keys
+    are the constructor's keyword arguments, passed unchecked (parse_spec checks them)."""
+    builders = {"gaussian": gaussian, "uniform": uniform, "tabulated": tabulated}
     kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+    if not isinstance(kind, str) or kind not in builders:
         raise ValueError(f"unknown model kind {kind!r}")
-    for key, value in spec.items():
-        if key != "kind" and key not in _MODEL_KEYS[kind]:
-            raise ValueError(f"unknown key {key!r} for a {kind} model "
-                             f"(known: {', '.join(_MODEL_KEYS[kind])})")
-        if key == "kind" or kind == "tabulated":
-            continue
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or key == "grid_points" and value % 1 != 0):
-            noun = "an integer" if key == "grid_points" else "a number"
-            raise ValueError(f"{kind} {key} must be {noun}, got {value!r}")
-    if kind == "gaussian":
-        return gaussian(float(spec.get("mean", 0.0)), float(spec.get("variance", 1.0)))
-    if kind == "uniform":
-        opts = {"grid_points": int(spec["grid_points"])} if "grid_points" in spec else {}
-        return uniform(float(spec.get("lo", 0.0)), float(spec.get("hi", 1.0)), **opts)
-    return tabulated(spec["grid"], spec["density"])
+    return builders[kind](**{k: v for k, v in spec.items() if k != "kind"})

@@ -25,9 +25,6 @@ class KsResult(NamedTuple):
     critical: dict[float, float]
     n_effective: float
 
-    def passes(self, alpha: float = 0.01) -> bool:
-        return self.statistic < self.critical[alpha]
-
 
 def _critical(n_eff: float) -> dict[float, float]:
     return {alpha: c / np.sqrt(n_eff) for alpha, c in KS_COEFF.items()}

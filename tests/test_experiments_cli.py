@@ -192,6 +192,25 @@ def test_write_report_concurrent_writers(tmp_path):
     ("gaps", {"out": True}),
     ("gaps", {"out": ["a"]}),
     ("gaps", {"out": ""}),
+    # tabulated values are nonempty lists of finite JSON numbers
+    ("contraction", {"corpus": 2, "model": {"kind": "tabulated", "grid": 5, "density": 3}}),
+    ("contraction", {"corpus": 2, "model": {"kind": "tabulated", "grid": [
+        str(x) for x in np.linspace(-0.5, 1.5, 101)], "density": [0.5] * 101}}),
+    # bools on a grid of unit width: coerced to a density that integrates to 1
+    ("contraction", {"corpus": 2, "model": {"kind": "tabulated", "grid": np.linspace(
+        0.0, 1.0, 11).tolist(), "density": [True] * 11}}),
+    ("contraction", {"corpus": 2, "model": {"kind": "tabulated", "grid": np.linspace(
+        -0.5, 1.5, 101).tolist(), "density": [0.5] * 50 + [math.nan] + [0.5] * 50}}),
+    ("contraction", {"corpus": 2, "model": {"kind": "tabulated", "grid": [], "density": []}}),
+    # so are a battery function's x and y, and they have one length
+    ("rem-stationarity", {"ensemble": 20, "depth": 10, "k_max": 1,
+                          "battery": [{"x": ["0.0", "0.5", "1.0"], "y": [True, 1, 0]}]}),
+    ("rem-stationarity", {"ensemble": 20, "depth": 10, "k_max": 1,
+                          "battery": [{"x": [0, 1, 2], "y": [0, 1]}]}),
+    # velocity runs one tau; a second one would be ignored
+    ("velocity", {"ensemble": 2, "depth": 20, "taus": [3, 50]}),
+    # an experiment name that is not a string
+    ("gaps", {"experiment": ["gaps"]}),
 ])
 def test_cli_bad_config_is_usage_error(tmp_path, capsys, monkeypatch, experiment, override):
     data = {"experiment": experiment, "seed": 3}
@@ -206,7 +225,9 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys, monkeypatch, experiment
         args += ["--out", str(tmp_path / "out")]
     assert cli.main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("edgerace: ")
+    # a bad model is named as one before the run starts
+    assert err.startswith("edgerace: bad model specification: " if "model" in override
+                          else "edgerace: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == ["c.json"]

@@ -261,6 +261,15 @@ def test_tabulated_density_validation():
         inc.tabulated(grid, -np.ones(101))
 
 
+def test_tabulated_rejects_malformed_tables():
+    with pytest.raises(ValueError, match="1-d"):
+        inc.tabulated(np.float64(5.0), np.float64(3.0))  # checked before any quadrature
+    density = np.full(101, 1.0)
+    density[50] = np.nan  # fails the sign and integral checks, as it must
+    with pytest.raises(ValueError, match="NaN"):
+        inc.tabulated(np.linspace(0, 1, 101), density)
+
+
 def test_model_from_dict_round_trip():
     m = inc.model_from_dict({"kind": "gaussian", "mean": 1.0, "variance": 4.0})
     assert m.kind == "gaussian" and m.params == (1.0, 4.0)
