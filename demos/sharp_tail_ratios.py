@@ -17,14 +17,14 @@ print(f"speed demand q = {Q}: tilt eta = {eta:.3f}, decay rate = {rate:.4f}")
 print()
 print(f"{'tau':>5} {'exact ratio':>12} {'prediction':>11} {'discrepancy':>12}")
 for tau in (25, 100, 400):
-    r = tail_ratio(MODEL, tau, Q, X, "gaussian-exact")
+    r = tail_ratio(MODEL, tau, Q, X)
     print(f"{tau:5d} {r.ratio:12.6f} {r.prediction:11.6f} "
           f"{abs(r.ratio - r.prediction):12.6f}")
 
 print()
 print("== importance sampling at tau = 100 ==")
-exact = sum_tail(MODEL, 100, 30.0, "gaussian-exact")
-mc = sum_tail(MODEL, 100, 30.0, "mc-importance", mc_samples=200_000, mc_stream=(31,))
+exact = sum_tail(MODEL, 100, 30.0)
+mc = sum_tail(MODEL, 100, 30.0, mc_samples=200_000, mc_stream=(31,))
 print(f"exact tail      : {exact.value:.6e}")
 print(f"tilted-walk mc  : {mc.value:.6e} +- {mc.se:.1e}")
 print(f"plain mc at this sample size would resolve nothing: the event has "

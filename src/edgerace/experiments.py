@@ -108,9 +108,11 @@ def _check_param(key: str, value, default):
                 isinstance(f, dict) and set(f) == {"x", "y"} for f in value):
             raise SpecError("battery must be a list of objects with keys x and y only")
         for f in value:
-            if len(_check_param("battery x", f["x"], None)) != len(
-                    _check_param("battery y", f["y"], None)):
+            x = _check_param("battery x", f["x"], None)
+            if len(x) != len(_check_param("battery y", f["y"], None)):
                 raise SpecError(f"battery x and y must have the same length, got {f!r}")
+            if not np.all(np.diff(x) > 0):
+                raise SpecError(f"battery x must be strictly increasing, got {f['x']!r}")
         return value
     if not isinstance(value, list) or not value:
         raise SpecError(f"{key} must be a nonempty list of numbers, got {value!r}")
@@ -176,6 +178,10 @@ def parse_spec(data: dict) -> ExperimentSpec:
                         f"got k_max {options['k_max']!r} with n_max {options['n_max']!r}")
     if name == "velocity" and len(options["taus"]) != 1:
         raise SpecError(f"velocity runs one tau; got taus {options['taus']!r}")
+    if name in ("tails", "poissonize") and not (
+            len(options["taus"]) >= 2 and np.all(np.diff(options["taus"]) > 0)):
+        raise SpecError(f"{name} compares taus: it needs at least two, strictly increasing; "
+                        f"got taus {options['taus']!r}")
     if name == "rem-stationarity" and options["k_max"] >= options["depth"]:
         raise SpecError(f"k_max must be below depth, the particles a replica holds; "
                         f"got k_max {options['k_max']!r} with depth {options['depth']!r}")
@@ -343,13 +349,7 @@ def _run_backward_tilt(spec: ExperimentSpec) -> ExperimentReport:
     results = replica_map(one, reps, spec.threads)
     sample = np.concatenate([a for a, _ in results])
     certificate = max(c for _, c in results if not math.isnan(c))
-    if model.kind == "gaussian":
-        from scipy.special import ndtr  # here, so importing the package skips scipy
-        m, v = tilted.params
-        reference = lambda h: ndtr((np.asarray(h) - m) / math.sqrt(v))
-    else:
-        reference = lambda h: 1.0 - np.asarray(inc.step_tail(tilted, np.asarray(h)))
-    res = st.ks_distance(sample, reference)
+    res = st.ks_distance(sample, lambda h: inc.step_cdf(tilted, h))
     metrics = [
         _below_metric("ks_attached_increments_tilted", res.statistic, res.critical[alpha]),
         _below_metric("truncation_certificate", certificate, cert_tol),
@@ -526,16 +526,15 @@ def _run_tails(spec: ExperimentSpec) -> ExperimentReport:
     rel_tol = spec.tolerances["relative"]
     key = (spec.seed,)
 
-    exact_backend = "gaussian-exact" if model.kind == "gaussian" else "br-approx"
-    exact = inc.tail_ratio(model, tau_main, q, x, exact_backend)
-    mc = inc.tail_ratio(model, tau_main, q, x, "mc-importance",
-                        mc_samples=mc_samples, mc_stream=substream(key, 0))
+    exact = inc.tail_ratio(model, tau_main, q, x)
+    mc = inc.tail_ratio(model, tau_main, q, x, mc_samples=mc_samples,
+                        mc_stream=substream(key, 0))
     rel_err = abs(mc.ratio - exact.ratio) / exact.ratio
 
     rows = []
     diffs = []
     for tau in taus:
-        r = inc.tail_ratio(model, tau, q, x, exact_backend)
+        r = inc.tail_ratio(model, tau, q, x)
         diffs.append(abs(r.ratio - r.prediction))
         rows.append([tau, fmt17(r.ratio), fmt17(r.prediction),
                      fmt17(abs(r.ratio - r.prediction))])

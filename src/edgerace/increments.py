@@ -8,16 +8,15 @@ exponential tilting and i.i.d. sampling.  The log moment Lambda alone comes from
 `log_mgf`; `cumulant` adds the tilted mean and variance, which only the
 tabulated and uniform kinds need quadrature for.
 
-This is the only module that knows how the tau-step tail P(S_tau >= y) is
-computed: strict single-point queries (`sum_tail`, one call with three
-interchangeable backends), full-line curves (`tail_curve`, whose formula the
-model's kind picks: closed form for the gaussian, a sharp-tail blend
-otherwise) and the Chernoff upper bound on the log-tail (`log_tail_bound`).
-The Bahadur-Rao sharp-tail terms behind all three are built in one place,
-`_sharp_terms`.  The gaussian tail probability has one formula, in
-`tail_curve`, which the `gaussian-exact` backend and the gaussian `step_tail`
-evaluate.  `tail_curve` (once per curve it builds) and `log_tail_bound` import
-`scipy.special` when they run, so importing the package does not load it.
+This is the only module that knows how a tail probability is computed, and
+the model's kind picks every formula: the closed-form normal tail for the
+gaussian, Bahadur-Rao sharp-tail terms (built in one place, `_sharp_terms`)
+otherwise.  The queries are the one-step tail and cdf (`step_tail`,
+`step_cdf`), strict single-point tau-step tails (`sum_tail`, and `tail_ratio`
+on it, which sample by importance instead when given a stream), full-line
+curves (`tail_curve`, whose gaussian formula `sum_tail` and `step_tail`
+evaluate) and the Chernoff bound on the log-tail (`log_tail_bound`).  Those
+that need `scipy.special` import it when they run, not at package import.
 
 Every operation is pure; sampling takes an explicit stream key.
 """
@@ -25,6 +24,7 @@ Every operation is pure; sampling takes an explicit stream key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -53,15 +53,12 @@ class Legendre(NamedTuple):
 
 class TailProbability(NamedTuple):
     value: float
-    se: float | None
-    backend: str
+    se: float | None  # None for a formula, the standard error for an estimate
 
 
 class TailRatio(NamedTuple):
     ratio: float
     prediction: float
-    numerator: float
-    denominator: float
 
 
 @dataclass(frozen=True)
@@ -102,6 +99,11 @@ class IncrementModel:
         if self.kind == "gaussian":
             return np.inf
         return float(self.grid[-1])
+
+    @cached_property
+    def q_max(self) -> float:
+        """Tilted mean at lambda_hi: no larger per-step target is attainable."""
+        return cumulant(self, self.lambda_hi).mean
 
 
 def _table(grid: Sequence[float], density: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -315,21 +317,19 @@ def legendre(model: IncrementModel, q: np.ndarray | float) -> Legendre:
         raise ValueError(f"target mean {qs[below][0]} below the untilted mean {model.mean}")
     if model.kind == "gaussian":
         m, v = model.params
-        q_hi = cumulant(model, model.lambda_hi).mean
         eta = (qs - m) / v
     else:
         table = np.linspace(0.0, model.lambda_hi, 512)
         means = cumulant(model, table).mean
-        q_hi = means[-1]
         eta = np.interp(qs, means, table)
         for _ in range(3):  # Newton polish on the monotone mean equation
             c = cumulant(model, eta)
             eta = np.clip(eta - (c.mean - qs) / np.maximum(c.variance, 1e-300),
                           0.0, model.lambda_hi)
-    above = (qs >= q_hi) & ~at_mean
+    above = (qs >= model.q_max) & ~at_mean
     if np.any(above):
         raise ValueError(f"target mean {qs[above][0]} not attainable within the safe "
-                         f"tilt range (max {q_hi:.6g})")
+                         f"tilt range (max {model.q_max:.6g})")
     c = cumulant(model, eta)
     residual = np.where(at_mean, 0.0, np.abs(c.mean - qs))
     if np.any(residual > LEGENDRE_RESIDUAL):
@@ -398,20 +398,24 @@ def step_tail(model: IncrementModel, t: np.ndarray | float) -> np.ndarray | floa
     return out if np.ndim(t) else float(out)
 
 
-BACKENDS = ("gaussian-exact", "br-approx", "mc-importance")  # of `sum_tail`
+def step_cdf(model: IncrementModel, t: np.ndarray | float) -> np.ndarray:
+    """One-step cdf at t: the normal cdf for the gaussian, 1 - `step_tail` otherwise."""
+    if model.kind == "gaussian":
+        from scipy.special import ndtr  # here, so importing the package skips scipy
+        m, v = model.params
+        return ndtr((np.asarray(t) - m) / np.sqrt(v))
+    return 1.0 - np.asarray(step_tail(model, np.asarray(t)))
 
 
 def _sharp_terms(model: IncrementModel, tau: int, q: np.ndarray | float,
                  margin: float) -> tuple:
     """Bahadur-Rao sharp-tail terms at per-step targets q.
 
-    q is first clipped into [mean, q_top - margin], q_top being the tilted
-    mean at the top of the safe range.  Returns the clipped q, the tilt eta,
-    the Legendre rate, the tilted variance (curvature) at eta, and
-    psi = eta * sqrt(tau * curvature).
+    q is first clipped into [mean, q_max - margin].  Returns the clipped q,
+    the tilt eta, the Legendre rate, the tilted variance (curvature) at eta,
+    and psi = eta * sqrt(tau * curvature).
     """
-    q_top = cumulant(model, model.lambda_hi).mean
-    qs = np.clip(q, model.mean, q_top - margin)
+    qs = np.clip(q, model.mean, model.q_max - margin)
     eta, rate = legendre(model, qs)
     curv = cumulant(model, eta).variance
     return qs, eta, rate, curv, eta * np.sqrt(tau * curv)
@@ -448,17 +452,16 @@ def _mc_importance(model: IncrementModel, tau: int, y: float, eta: float, n: int
     return estimate, se
 
 
-def sum_tail(model: IncrementModel, tau: int, y: float, backend: str, *,
-             mc_samples: int = 10 ** 6, mc_stream: StreamKey | None = None) -> TailProbability:
-    """Strict single-point P(S_tau >= y) under the chosen backend.
+def sum_tail(model: IncrementModel, tau: int, y: float, *, mc_samples: int | None = None,
+             mc_stream: StreamKey | None = None) -> TailProbability:
+    """Strict single-point P(S_tau >= y).
 
-    Rejects per-step targets y/tau outside (mean, q_max), q_max being the
-    tilted mean at the top of the safe range, for every backend.
+    Without a stream the model picks the formula: the gaussian `tail_curve`
+    at y for the gaussian, the Bahadur-Rao sharp tail otherwise.  With
+    `mc_stream` it is an importance-sampling estimate from `mc_samples` (at
+    least 2, for its standard error) draws.  Rejects per-step targets y/tau
+    outside (mean, q_max) either way.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "gaussian-exact" and model.kind != "gaussian":
-        raise ValueError("gaussian-exact backend requires a gaussian model")
     tau = int(tau)
     if tau < 1:
         raise ValueError("tau must be >= 1")
@@ -468,24 +471,23 @@ def sum_tail(model: IncrementModel, tau: int, y: float, backend: str, *,
         raise ValueError(f"per-step target {q} at or below the mean {model.mean}; query rejected")
     # a zero margin leaves q unclipped below q_max and lets legendre reject the rest
     _, eta, rate, curv, _ = _sharp_terms(model, tau, q, 0.0)
-    if backend == "mc-importance" and mc_stream is None:
-        raise ValueError("mc-importance needs a stream key")
-    if backend == "gaussian-exact":
-        return TailProbability(float(tail_curve(model, tau)(y)), None, backend)
-    if backend == "br-approx":
-        value = float(np.exp(-tau * rate) / (eta * np.sqrt(2 * np.pi * tau * curv)))
-        return TailProbability(value, None, backend)
-    estimate, se = _mc_importance(model, tau, y, eta, int(mc_samples), mc_stream)
-    return TailProbability(estimate, se, backend)
+    if mc_stream is not None:
+        if mc_samples is None or mc_samples < 2:
+            raise ValueError(f"importance sampling needs mc_samples >= 2, got {mc_samples!r}")
+        return TailProbability(*_mc_importance(model, tau, y, eta, int(mc_samples), mc_stream))
+    if model.kind == "gaussian":
+        return TailProbability(float(tail_curve(model, tau)(y)), None)
+    value = np.exp(-tau * rate) / (eta * np.sqrt(2 * np.pi * tau * curv))
+    return TailProbability(float(value), None)
 
 
-def tail_ratio(model: IncrementModel, tau: int, q: float, x: float, backend: str, *,
-               mc_samples: int = 10 ** 6, mc_stream: StreamKey | None = None) -> TailRatio:
+def tail_ratio(model: IncrementModel, tau: int, q: float, x: float, *,
+               mc_samples: int | None = None, mc_stream: StreamKey | None = None) -> TailRatio:
     """Shifted-threshold tail ratio against its exponential prediction.
 
-    Returns P(S_tau >= q tau + x) / P(S_tau >= q tau) computed with one shared
-    backend, alongside the prediction e^{-eta(q) x}.  The shift must lie in
-    the polynomial window |x| <= tau^RATIO_WINDOW_EXPONENT.
+    Returns P(S_tau >= q tau + x) / P(S_tau >= q tau), both tails taken by
+    `sum_tail` with the same arguments, alongside the prediction e^{-eta(q) x}.
+    The shift must lie in the polynomial window |x| <= tau^RATIO_WINDOW_EXPONENT.
     """
     window = tau ** RATIO_WINDOW_EXPONENT
     if abs(x) > window:
@@ -496,13 +498,12 @@ def tail_ratio(model: IncrementModel, tau: int, q: float, x: float, backend: str
 
     def tail(y: float, part: int) -> float:
         stream = None if mc_stream is None else substream(mc_stream, part)
-        return sum_tail(model, tau, y, backend, mc_samples=mc_samples, mc_stream=stream).value
+        return sum_tail(model, tau, y, mc_samples=mc_samples, mc_stream=stream).value
 
     denom = tail(q * tau, 0)
     if x == 0.0:
-        return TailRatio(1.0, 1.0, denom, denom)
-    numer = tail(q * tau + x, 1)
-    return TailRatio(numer / denom, prediction, numer, denom)
+        return TailRatio(1.0, 1.0)
+    return TailRatio(tail(q * tau + x, 1) / denom, prediction)
 
 
 def tail_curve(model: IncrementModel, tau: int) -> Callable[[np.ndarray], np.ndarray]:

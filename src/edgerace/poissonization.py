@@ -262,8 +262,7 @@ def extract_laplace(config: Configuration, model: inc.IncrementModel,
         keep = depths <= limit * tau
         kept = config.positions[keep]
         qs = (z - kept) / tau
-        q_top = inc.cumulant(model, model.lambda_hi).mean
-        if np.any(qs <= model.mean) or np.any(qs >= q_top):
+        if np.any(qs <= model.mean) or np.any(qs >= model.q_max):
             raise ValueError("tilt out of range for a retained particle")
         eta, _ = inc.legendre(model, qs)
         w = curve(z - kept)

@@ -23,7 +23,6 @@ MPGFL_CELLS = 2 ** 16  # grid cells of mpgfl_poisson's leader integral
 class KsResult(NamedTuple):
     statistic: float
     critical: dict[float, float]
-    n_effective: float
 
 
 def _critical(n_eff: float) -> dict[float, float]:
@@ -45,7 +44,7 @@ def ks_distance(sample: Sequence[float],
     hi = np.arange(1, n + 1) / n - ref
     lo = ref - np.arange(0, n) / n
     stat = float(max(hi.max(), lo.max()))
-    return KsResult(stat, _critical(n), float(n))
+    return KsResult(stat, _critical(n))
 
 
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
@@ -59,7 +58,7 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     fb = np.searchsorted(b, pooled, side="right") / b.size
     stat = float(np.abs(fa - fb).max())
     n_eff = a.size * b.size / (a.size + b.size)
-    return KsResult(stat, _critical(n_eff), float(n_eff))
+    return KsResult(stat, _critical(n_eff))
 
 
 def _interp_table(x: np.ndarray, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:

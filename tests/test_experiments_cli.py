@@ -211,6 +211,15 @@ def test_write_report_concurrent_writers(tmp_path):
     ("velocity", {"ensemble": 2, "depth": 20, "taus": [3, 50]}),
     # an experiment name that is not a string
     ("gaps", {"experiment": ["gaps"]}),
+    # a battery function written with decreasing x
+    ("rem-stationarity", {"ensemble": 20, "depth": 10, "k_max": 1,
+                          "battery": [{"x": [1, 0.5, 0], "y": [0, 0.5, 1]}]}),
+    # tails and poissonize compare taus: two or more, strictly increasing
+    ("tails", {"taus": [100], "mc_samples": 100}),
+    ("tails", {"taus": [400, 100, 25], "mc_samples": 100}),
+    ("poissonize", {"ensemble": 2, "depth": 50, "taus": [8], "roundtrip_reps": 20}),
+    # one importance-sampling draw has no standard error
+    ("tails", {"mc_samples": 1}),
 ])
 def test_cli_bad_config_is_usage_error(tmp_path, capsys, monkeypatch, experiment, override):
     data = {"experiment": experiment, "seed": 3}

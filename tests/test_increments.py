@@ -164,7 +164,7 @@ def test_step_tail(std_gaussian, unit_uniform, table_model):
 
 
 def test_sum_tail_gaussian_exact(std_gaussian):
-    got = inc.sum_tail(std_gaussian, 100, 30.0, "gaussian-exact")
+    got = inc.sum_tail(std_gaussian, 100, 30.0)
     assert got.value == pytest.approx(0.0013498980316300933, rel=1e-12)
     assert got.se is None
 
@@ -172,7 +172,7 @@ def test_sum_tail_gaussian_exact(std_gaussian):
 def test_sum_tail_rejects_below_mean(std_gaussian, unit_uniform):
     for model, y in ((std_gaussian, -5.0), (unit_uniform, 10.0)):
         with pytest.raises(ValueError):
-            inc.sum_tail(model, 100, y, "br-approx")
+            inc.sum_tail(model, 100, y)
 
 
 def test_sharp_terms_psi_positive(std_gaussian):
@@ -180,57 +180,81 @@ def test_sharp_terms_psi_positive(std_gaussian):
     assert eta > 0 and psi > 0
 
 
-def test_sum_tail_br_matches_its_formula(std_gaussian):
-    expected = math.exp(-100 * 0.045) / (0.3 * math.sqrt(2 * math.pi * 100))
-    got = inc.sum_tail(std_gaussian, 100, 30.0, "br-approx")
+def test_sum_tail_br_matches_its_formula(unit_uniform):
+    # a non-gaussian model gets the Bahadur-Rao sharp tail
+    eta, rate = inc.legendre(unit_uniform, 8.0 / 12)
+    curv = inc.cumulant(unit_uniform, eta).variance
+    expected = math.exp(-12 * rate) / (eta * math.sqrt(2 * math.pi * 12 * curv))
+    got = inc.sum_tail(unit_uniform, 12, 8.0)
     assert got.value == pytest.approx(expected, rel=1e-12)
+    assert got.se is None
 
 
 def test_sum_tail_mc_importance_matches_exact(std_gaussian):
-    exact = inc.sum_tail(std_gaussian, 100, 30.0, "gaussian-exact").value
-    got = inc.sum_tail(std_gaussian, 100, 30.0, "mc-importance",
-                       mc_samples=10 ** 6, mc_stream=(5, 1))
+    exact = inc.sum_tail(std_gaussian, 100, 30.0).value
+    got = inc.sum_tail(std_gaussian, 100, 30.0, mc_samples=10 ** 6, mc_stream=(5, 1))
     assert got.se is not None and got.se > 0
     assert abs(got.value - exact) < 3.0 * got.se
 
 
 def test_sum_tail_mc_grid_within_four_se(std_gaussian):
     for i, (tau, qq) in enumerate([(25, 0.35), (64, 0.3), (100, 0.25)]):
-        exact = inc.sum_tail(std_gaussian, tau, qq * tau, "gaussian-exact").value
-        got = inc.sum_tail(std_gaussian, tau, qq * tau, "mc-importance",
-                           mc_samples=200_000, mc_stream=(21, i))
+        exact = inc.sum_tail(std_gaussian, tau, qq * tau).value
+        got = inc.sum_tail(std_gaussian, tau, qq * tau, mc_samples=200_000, mc_stream=(21, i))
         assert abs(got.value - exact) < 4.0 * got.se
 
 
 def test_sum_tail_mc_nongaussian_batched(unit_uniform):
     # per-step batched sampling path; compare against a plain-MC oracle
-    got = inc.sum_tail(unit_uniform, 12, 8.0, "mc-importance",
-                       mc_samples=100_000, mc_stream=(23,))
+    got = inc.sum_tail(unit_uniform, 12, 8.0, mc_samples=100_000, mc_stream=(23,))
     rng = np.random.default_rng(99)
     oracle = (rng.uniform(0, 1, size=(400_000, 12)).sum(axis=1) >= 8.0).mean()
     assert abs(got.value - oracle) < 4.0 * (got.se + math.sqrt(oracle / 400_000))
 
 
+def test_sum_tail_mc_needs_two_samples(std_gaussian):
+    # one draw has no standard error
+    for n in (None, 1, 0):
+        with pytest.raises(ValueError, match="mc_samples"):
+            inc.sum_tail(std_gaussian, 100, 30.0, mc_samples=n, mc_stream=(5,))
+
+
+def test_step_cdf_is_the_closed_form_or_one_minus_the_tail(std_gaussian, unit_uniform):
+    ts = np.linspace(-3.0, 3.0, 61)
+    for model in (std_gaussian, inc.tilt(inc.gaussian(0.5, 0.25), 1.0)):
+        m, v = model.params
+        assert_bitwise(inc.step_cdf(model, ts), ndtr((ts - m) / math.sqrt(v)))
+    assert_bitwise(inc.step_cdf(unit_uniform, ts),
+                   1.0 - np.asarray(inc.step_tail(unit_uniform, ts)))
+
+
+def test_q_max_is_the_tilted_mean_at_lambda_hi(std_gaussian, unit_uniform, table_model):
+    for model in (std_gaussian, unit_uniform, table_model):
+        assert model.q_max == inc.cumulant(model, model.lambda_hi).mean
+        with pytest.raises(ValueError, match="not attainable"):
+            inc.legendre(model, model.q_max)
+
+
 def test_tail_ratio_exact_values(std_gaussian):
-    got = inc.tail_ratio(std_gaussian, 100, 0.3, 1.0, "gaussian-exact")
+    got = inc.tail_ratio(std_gaussian, 100, 0.3, 1.0)
     assert got.ratio == pytest.approx(0.7167972621235027, rel=1e-12)
     assert got.prediction == pytest.approx(math.exp(-0.3), rel=1e-14)
 
 
 def test_tail_ratio_at_zero_shift(std_gaussian):
-    got = inc.tail_ratio(std_gaussian, 100, 0.3, 0.0, "gaussian-exact")
+    got = inc.tail_ratio(std_gaussian, 100, 0.3, 0.0)
     assert got.ratio == 1.0 and got.prediction == 1.0
 
 
 def test_tail_ratio_window(std_gaussian):
     with pytest.raises(ValueError):
-        inc.tail_ratio(std_gaussian, 100, 0.3, 7.0, "gaussian-exact")  # 7 > 100**0.4
+        inc.tail_ratio(std_gaussian, 100, 0.3, 7.0)  # 7 > 100**0.4
 
 
 def test_tail_ratio_discrepancy_shrinks_with_tau(std_gaussian):
     diffs = []
     for tau in (25, 100, 400):
-        got = inc.tail_ratio(std_gaussian, tau, 0.3, 1.0, "gaussian-exact")
+        got = inc.tail_ratio(std_gaussian, tau, 0.3, 1.0)
         diffs.append(abs(got.ratio - got.prediction))
     assert diffs[0] > diffs[1] > diffs[2]
 
@@ -389,7 +413,7 @@ def test_gaussian_sum_tail_and_step_tail_are_tail_curve(data):
     q_top = inc.cumulant(model, model.lambda_hi).mean
     q = data.draw(hst.floats(m, q_top, exclude_min=True, exclude_max=True))
     y = q * tau
-    got = inc.sum_tail(model, tau, y, "gaussian-exact")
+    got = inc.sum_tail(model, tau, y)
     assert got.value == inc.tail_curve(model, tau)(y)
     assert got.value == float(ndtr(-((y - tau * m) / np.sqrt(tau * v))))
     ts = draw_array(data, m - 12.0 * math.sqrt(v), m + 12.0 * math.sqrt(v))

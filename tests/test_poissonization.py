@@ -79,12 +79,10 @@ def test_expected_count_mc_backend_validates_curve(std_gaussian):
     # every summand re-estimated under its own tilt, one substream per particle
     config = cf.from_points([0.0, -0.7, -1.9])
     exact = pz.expected_count_above(config, std_gaussian, 4, 3.0)
-    mc = sum(inc.sum_tail(std_gaussian, 4, 3.0 - pos, "mc-importance",
-                          mc_samples=200_000, mc_stream=(71, i)).value
+    mc = sum(inc.sum_tail(std_gaussian, 4, 3.0 - pos, mc_samples=200_000,
+                          mc_stream=(71, i)).value
              for i, pos in enumerate(config.positions))
     assert mc == pytest.approx(exact, rel=0.02)
-    with pytest.raises(ValueError):
-        inc.sum_tail(std_gaussian, 4, 3.0, "mc-importance")
 
 
 def test_expected_count_monotone(std_gaussian, rem_config):
