@@ -172,7 +172,7 @@ def parse_spec(data: dict) -> ExperimentSpec:
         if k not in defaults:
             raise SpecError(f"unknown option {k!r} for experiment {name}")
         params[k] = _check_param(k, v, defaults[k])
-    options = {**defaults, **params}
+    options = {k: params.get(k, v) for k, v in defaults.items() if k != "tolerances"}
     if name == "gaps" and options["k_max"] > options["n_max"] + 1:
         raise SpecError(f"k_max must be at most n_max + 1, the gaps a replica holds; "
                         f"got k_max {options['k_max']!r} with n_max {options['n_max']!r}")
@@ -575,9 +575,9 @@ def _run_gaps(spec: ExperimentSpec) -> ExperimentReport:
                              lambda u, k=k: 1.0 - np.exp(-k * spec.s * np.asarray(u)))
         metrics.append(_below_metric(f"ks_gap_{k}_exponential", res.statistic,
                                      res.critical[alpha]))
-    intensity = lp.exponential_intensity(spec.s)
+    rem = lp.point_mass(spec.s, 1.0)
     for n in sorted({1, 2, n_max}):
-        err = abs(lp.expected_gap(intensity, n) - 1.0 / (n * spec.s))
+        err = abs(lp.expected_gap(rem, n) - 1.0 / (n * spec.s))
         metrics.append(_below_metric(f"quadrature_gap_error_{n}", err, quad_tol))
     tables = {"gap_means": (["rank", "mean", "target", "se"], rows)}
     return ExperimentReport(spec, metrics, tables)

@@ -11,12 +11,12 @@ tabulated and uniform kinds need quadrature for.
 This is the only module that knows how a tail probability is computed, and
 the model's kind picks every formula: the closed-form normal tail for the
 gaussian, Bahadur-Rao sharp-tail terms (built in one place, `_sharp_terms`)
-otherwise.  The queries are the one-step tail and cdf (`step_tail`,
-`step_cdf`), strict single-point tau-step tails (`sum_tail`, and `tail_ratio`
-on it, which sample by importance instead when given a stream), full-line
-curves (`tail_curve`, whose gaussian formula `sum_tail` and `step_tail`
-evaluate) and the Chernoff bound on the log-tail (`log_tail_bound`).  Those
-that need `scipy.special` import it when they run, not at package import.
+otherwise.  The queries are the one-step cdf (`step_cdf`), strict
+single-point tau-step tails (`sum_tail`, and `tail_ratio` on it, which sample
+by importance instead when given a stream), full-line curves (`tail_curve`,
+whose gaussian formula `sum_tail` evaluates) and the Chernoff bound on the
+log-tail (`log_tail_bound`).  Those that need `scipy.special` import it when
+they run, not at package import.
 
 Every operation is pure; sampling takes an explicit stream key.
 """
@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import logsumexp
+from .numerics import logsumexp, row_blocks
 from .streams import StreamKey, generator, substream
 
 DENSITY_TOL = 1e-8        # density must integrate to 1 within this
@@ -245,13 +245,15 @@ def _tilted_log_mass(model: IncrementModel, lams: np.ndarray) -> np.ndarray:
 
 
 def _quad_cumulant(model: IncrementModel, lams: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Quadrature (log moment, tilted mean, centred tilted variance) per tilt."""
-    t = _tilted_log_mass(model, lams)
-    log_i = logsumexp(t, axis=1)
-    p = np.exp(t - log_i[:, None])  # tilted probability mass on the grid, one row per tilt
-    # row sums, not matrix products, so a row never depends on the others
-    mean = (p * model.grid).sum(axis=1)
-    var = (p * (model.grid - mean[:, None]) ** 2).sum(axis=1)
+    """Quadrature (log moment, tilted mean, centred tilted variance) per tilt, by row blocks."""
+    log_i, mean, var = np.empty(lams.size), np.empty(lams.size), np.empty(lams.size)
+    for rows in row_blocks(lams.size, model.grid.size):
+        t = _tilted_log_mass(model, lams[rows])
+        log_i[rows] = logsumexp(t, axis=1)
+        p = np.exp(t - log_i[rows, None])  # tilted probability mass, one row per tilt
+        # row sums, not matrix products, so a row never depends on the others
+        mean[rows] = (p * model.grid).sum(axis=1)
+        var[rows] = (p * (model.grid - mean[rows, None]) ** 2).sum(axis=1)
     return log_i, mean, var
 
 
@@ -271,7 +273,9 @@ def log_mgf(model: IncrementModel, lam: np.ndarray | float) -> float | np.ndarra
     elif model.kind == "uniform":
         value = _uniform_log_mgf(*model.params, flat)
     else:
-        value = logsumexp(_tilted_log_mass(model, flat), axis=1)
+        value = np.empty(flat.size)
+        for rows in row_blocks(flat.size, model.grid.size):
+            value[rows] = logsumexp(_tilted_log_mass(model, flat[rows]), axis=1)
     value = np.where(flat == 0.0, 0.0, value)
     if lams.ndim == 0:
         return float(value[0])
@@ -382,29 +386,19 @@ def sample(model: IncrementModel, n: int, stream: StreamKey) -> np.ndarray:
     return np.interp(rng.random(n), cdf, model.grid)
 
 
-def step_tail(model: IncrementModel, t: np.ndarray | float) -> np.ndarray | float:
-    """One-step upper tail P(h >= t), exact up to the grid representation."""
-    t_arr = np.asarray(t, dtype=float)
-    if model.kind == "gaussian":
-        out = tail_curve(model, 1)(t_arr)
-    elif model.kind == "uniform":
-        lo, hi = model.params
-        out = np.clip((hi - t_arr) / (hi - lo), 0.0, 1.0)
-    else:
-        seg = (model.density[1:] + model.density[:-1]) * 0.5 * np.diff(model.grid)
-        right = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-        out = np.interp(t_arr, model.grid, right, left=right[0], right=0.0)
-        out = np.minimum(out, 1.0)
-    return out if np.ndim(t) else float(out)
-
-
 def step_cdf(model: IncrementModel, t: np.ndarray | float) -> np.ndarray:
-    """One-step cdf at t: the normal cdf for the gaussian, 1 - `step_tail` otherwise."""
+    """One-step cdf at t: the normal cdf for a gaussian, else one minus P(h >= t)."""
+    t = np.asarray(t, dtype=float)
     if model.kind == "gaussian":
         from scipy.special import ndtr  # here, so importing the package skips scipy
         m, v = model.params
-        return ndtr((np.asarray(t) - m) / np.sqrt(v))
-    return 1.0 - np.asarray(step_tail(model, np.asarray(t)))
+        return ndtr((t - m) / np.sqrt(v))
+    if model.kind == "uniform":
+        lo, hi = model.params
+        return 1.0 - np.clip((hi - t) / (hi - lo), 0.0, 1.0)
+    seg = (model.density[1:] + model.density[:-1]) * 0.5 * np.diff(model.grid)
+    right = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+    return 1.0 - np.minimum(np.interp(t, model.grid, right, left=right[0], right=0.0), 1.0)
 
 
 def _sharp_terms(model: IncrementModel, tau: int, q: np.ndarray | float,

@@ -10,7 +10,9 @@ Convolving the intensity with an increment density multiplies atom weights by
 e^{S(u)} with S(u) = Lambda(u) - z u, the normalizing z re-solved each time.
 This is the engine behind the steepness order and the contraction checks.
 
-A tail intensity F(x) = R(x - offset) is a measure plus an offset.  Its level
+`gap_functional`, `expected_gap` and `steeper` take a measure: a shift of
+the configuration, the reweighting above, cannot change them.  A tail
+intensity F(x) = R(x - offset) places a measure, as sampling needs.  Its level
 crossings have one solver, which also finds the normalizing shift: a bracket
 read off the atoms, refined by safeguarded Newton on log R in row blocks of at
 most `numerics.BLOCK_CELLS` cells, so its memory stays flat in the number of
@@ -123,16 +125,12 @@ def shift(rho: LaplaceMeasure, alpha: float) -> LaplaceMeasure:
     return LaplaceMeasure(rho.u, rho.w * np.exp(-float(alpha) * rho.u))
 
 
-def normalizing_shift(rho: LaplaceMeasure) -> float:
-    """Shift alpha bringing total mass to one, the level-one crossing of the transform."""
+def normalize(rho: LaplaceMeasure) -> LaplaceMeasure:
+    """rho shifted to total mass one, by the level-one crossing of its transform."""
     alpha = float(TailIntensity(rho).inverse(1.0))
     if abs(transform(rho, alpha) - 1.0) > NORMALIZE_TOL:
         raise ArithmeticError("normalizing shift did not reach unit mass within 1e-12")
-    return alpha
-
-
-def normalize(rho: LaplaceMeasure) -> LaplaceMeasure:
-    return shift(rho, normalizing_shift(rho))
+    return shift(rho, alpha)
 
 
 class Convolution(NamedTuple):
@@ -169,14 +167,11 @@ def convolve_g(rho: LaplaceMeasure, model: inc.IncrementModel) -> LaplaceMeasure
 
 @dataclass(frozen=True)
 class TailIntensity:
-    """Decreasing positive intensity tail F(x) = R_rho(x - offset); `inverse`
-    also solves the shifts of `normalized` and `normalizing_shift`."""
+    """Decreasing positive intensity tail F(x) = R_rho(x - offset), a placed
+    front for sampling; `inverse` also solves the shift of `normalize`."""
 
     rho: LaplaceMeasure
     offset: float = 0.0
-
-    def value(self, x: np.ndarray | float) -> np.ndarray | float:
-        return transform(self.rho, np.asarray(x, dtype=float) - self.offset)
 
     def inverse(self, t: np.ndarray | float) -> np.ndarray | float:
         """Level crossing F^{-1}(t) = inf{x : F(x) <= t}.
@@ -245,10 +240,6 @@ class TailIntensity:
             out[rows] = xi
         return out
 
-    def normalized(self) -> "TailIntensity":
-        """Shifted so that the value at 0 is 1 (sup convention at level one)."""
-        return TailIntensity(self.rho, self.offset - self.inverse(1.0))
-
 
 @lru_cache(maxsize=64)
 def exponential_intensity(s: float, z: float = 0.0) -> TailIntensity:
@@ -264,28 +255,20 @@ def exponential_intensity(s: float, z: float = 0.0) -> TailIntensity:
     return TailIntensity(point_mass(s, 1.0), float(z))
 
 
-def _coerce(f: "TailIntensity | LaplaceMeasure") -> TailIntensity:
-    if isinstance(f, LaplaceMeasure):
-        return TailIntensity(f)
-    return f
-
-
 class SteeperResult(NamedTuple):
     holds: bool
     witness: tuple[float, float] | None  # violating level pair (a, b), a < b
 
 
-def steeper(g: TailIntensity | LaplaceMeasure, f: TailIntensity | LaplaceMeasure,
-            levels: Sequence[float], slack: float = STEEPER_SLACK) -> SteeperResult:
-    """True when every level interval of g is no longer than that of f.
+def steeper(g: LaplaceMeasure, f: LaplaceMeasure, levels: Sequence[float],
+            slack: float = STEEPER_SLACK) -> SteeperResult:
+    """True when every level interval of R_g is no longer than that of R_f.
 
-    Checks g^{-1}(a) - g^{-1}(b) <= f^{-1}(a) - f^{-1}(b) + slack over all
-    pairs a < b of the supplied level grid.
+    Checks R_g^{-1}(a) - R_g^{-1}(b) <= R_f^{-1}(a) - R_f^{-1}(b) + slack over
+    all pairs a < b of the supplied level grid.
     """
-    g = _coerce(g)
-    f = _coerce(f)
     lv = np.sort(np.asarray(levels, dtype=float))
-    d = np.asarray(g.inverse(lv)) - np.asarray(f.inverse(lv))
+    d = np.asarray(TailIntensity(g).inverse(lv)) - np.asarray(TailIntensity(f).inverse(lv))
     # the all-pairs condition says d may not drop by more than the slack as the
     # level rises, so compare each point against the running maximum before it
     prefix = np.maximum.accumulate(d)
@@ -297,50 +280,48 @@ def steeper(g: TailIntensity | LaplaceMeasure, f: TailIntensity | LaplaceMeasure
     return SteeperResult(False, (float(lv[i]), float(lv[j])))
 
 
-def gap_functional(f: TailIntensity | LaplaceMeasure, u: float) -> float:
-    """Probability that the first gap of the Poisson configuration exceeds u.
+def gap_functional(rho: LaplaceMeasure, u: float) -> float:
+    """Probability that the first gap of the Poisson process of rho exceeds u.
 
-    Equals the integral of e^{-F(x-u)} against the intensity differential
-    -dF(x), with the analytic derivative.  Any x_lo with F >= 40 and x_hi
-    with F <= TAIL_BUDGET certify the remainder (e^{-40} and TAIL_BUDGET),
+    Equals the integral of e^{-R(x-u)} against the intensity differential
+    -dR(x), with the analytic derivative.  Any x_lo with R >= 40 and x_hi
+    with R <= TAIL_BUDGET certify the remainder (e^{-40} and TAIL_BUDGET),
     and the bracket gives both without solving a crossing.
     """
-    f = _coerce(f)
     if u < 0:
         raise ValueError("gap threshold must be nonnegative")
     if u == 0.0:
         return 1.0
-    rho, off = f.rho, f.offset
     if rho.n_atoms == 1:
         return float(np.exp(-rho.u[0] * u))
-    lo, hi = f._bracket(np.log([40.0, TAIL_BUDGET]))
+    lo, hi = TailIntensity(rho)._bracket(np.log([40.0, TAIL_BUDGET]))
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        dens = (rho.w * rho.u)[None, :] * np.exp(-np.outer(x - off, rho.u))
-        return np.exp(-np.asarray(f.value(x - u))) * dens.sum(axis=1)
+        dens = (rho.w * rho.u)[None, :] * np.exp(-np.outer(x, rho.u))
+        return np.exp(-transform(rho, x - u)) * dens.sum(axis=1)
 
-    return adaptive_gauss(integrand, float(lo[0]) + off, float(hi[1]) + off, tol=QUAD_TOL)
+    return adaptive_gauss(integrand, float(lo[0]), float(hi[1]), tol=QUAD_TOL)
 
 
-def expected_gap(f: TailIntensity | LaplaceMeasure, n: int) -> float:
-    """Mean gap between ranks n and n+1 of the Poisson configuration.
+def expected_gap(rho: LaplaceMeasure, n: int) -> float:
+    """Mean gap between ranks n and n+1 of the Poisson process of rho.
 
-    Integrates F^n e^{-F} / n! over time; the range is chosen so the
+    Integrates R^n e^{-R} / n! over time; the range is chosen so the
     discarded tails contribute provably less than GAP_REMAINDER_TOL.
     """
     from scipy.special import gammaln  # here, so importing the package skips scipy
-    f = _coerce(f)
     if n < 1:
         raise ValueError("rank must be a positive integer")
-    rate = float(f.rho.u[0])
+    rate = float(rho.u[0])
     f_hi = n + 40.0 * np.sqrt(n + 1.0) + 40.0
     f_lo = 10.0 ** (-12.0 / n)
+    f = TailIntensity(rho)
     t_lo = float(f.inverse(f_hi))
     t_hi = float(f.inverse(f_lo))
     log_nfac = float(gammaln(n + 1))
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        fv = np.asarray(f.value(t))
+        fv = transform(rho, t)
         return np.exp(n * np.log(fv) - fv - log_nfac)
 
     val = adaptive_gauss(integrand, t_lo, t_hi, tol=QUAD_TOL)

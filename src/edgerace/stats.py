@@ -2,8 +2,8 @@
 
 The KS distances take plain arrays of samples.  `mpgfl_term` evaluates the
 gap generating functional's integrand on one configuration, whose ensemble
-mean estimates the functional, and `mpgfl_poisson` computes it exactly for a
-Poisson process on a grid of MPGFL_CELLS cells.
+mean estimates the functional, and `mpgfl_poisson` computes it exactly for the
+Poisson process of a Laplace measure, on a grid of MPGFL_CELLS cells.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .configurations import Configuration, gaps
-from .laplace import TailIntensity
+from .laplace import LaplaceMeasure, normalize, transform
 
 KS_COEFF = {0.05: 1.358, 0.01: 1.628}
 KS_MIN_SAMPLES = 10
@@ -88,28 +88,27 @@ class PoissonFunctional(NamedTuple):
     boundary_mass: float  # leader-location mass falling outside the window
 
 
-def mpgfl_poisson(intensity: TailIntensity, fx: Sequence[float], fy: Sequence[float],
+def mpgfl_poisson(rho: LaplaceMeasure, fx: Sequence[float], fy: Sequence[float],
                   window: float) -> PoissonFunctional:
-    """Gap generating functional of the Poisson process with the given tail.
+    """Gap generating functional of the Poisson process with intensity tail R_rho.
 
     Conditions on the leader location x and integrates
     exp{-integral of (1 - e^{-f(x-y)}) against the intensity below x}
     against the leader law d[e^{-F(x)}] over [-window, window] around the
-    normalized front, on MPGFL_CELLS cells.  The leader's own f(0) term is not
-    included here.
+    front of F = R_normalize(rho), which crosses level one at 0, on
+    MPGFL_CELLS cells.  The leader's own f(0) term is not included here.
     """
     fx = np.asarray(fx, dtype=float)
     fy = np.asarray(fy, dtype=float)
     if np.any(fy < 0):
         raise ValueError("the test function must be nonnegative")
-    f = intensity.normalized()
     support = float(fx[fy > 0].max()) if np.any(fy > 0) else 0.0
     lo = -float(window) - support
     hi = float(window)
     grid = np.linspace(lo, hi, MPGFL_CELLS + 1)
     h = grid[1] - grid[0]
     centers = 0.5 * (grid[:-1] + grid[1:])
-    fvals = np.asarray(f.value(grid))
+    fvals = transform(normalize(rho), grid)
     seg_mass = fvals[:-1] - fvals[1:]              # intensity mass per cell
     leader_mass = np.exp(-fvals[1:]) - np.exp(-fvals[:-1])  # d[e^{-F}] per cell
 

@@ -348,6 +348,10 @@ def test_parse_spec_types_and_ranges():
     assert (spec.s, spec.threads, spec.params["ensemble"]) == (2.0, 2, 3)
     assert type(spec.params["ensemble"]) is int
     assert ex.parse_spec({**base, "backend": "auto"}) == ex.parse_spec(base)
+    # options hold no copy of the default tolerances; spec.tolerances is in force
+    spec = ex.parse_spec({"experiment": "gaps", "seed": 1, "tolerances": {"alpha": 0.05}})
+    assert "tolerances" not in spec.options and spec.tolerances["alpha"] == 0.05
+    assert spec.options == {"ensemble": 10_000, "n_max": 10, "k_max": 5}
 
 
 def test_cli_list(capsys):

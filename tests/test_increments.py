@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,14 +154,14 @@ def test_sample_tabulated_moments(table_model):
     assert abs(draws.var() - table_model.variance) < 0.05 * table_model.variance
 
 
-def test_step_tail(std_gaussian, unit_uniform, table_model):
-    assert inc.step_tail(std_gaussian, 0.0) == pytest.approx(0.5, abs=1e-15)
-    assert inc.step_tail(unit_uniform, 0.25) == pytest.approx(0.75, abs=1e-12)
-    assert inc.step_tail(unit_uniform, -3.0) == 1.0
-    assert inc.step_tail(unit_uniform, 3.0) == 0.0
+def test_step_cdf(std_gaussian, unit_uniform, table_model):
+    assert inc.step_cdf(std_gaussian, 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert inc.step_cdf(unit_uniform, 0.25) == pytest.approx(0.25, abs=1e-12)
+    assert inc.step_cdf(unit_uniform, -3.0) == 0.0
+    assert inc.step_cdf(unit_uniform, 3.0) == 1.0
     ts = np.linspace(-6, 6, 25)
-    vals = inc.step_tail(table_model, ts)
-    assert np.all(np.diff(vals) <= 1e-12)
+    vals = inc.step_cdf(table_model, ts)
+    assert np.all(np.diff(vals) >= -1e-12)
 
 
 def test_sum_tail_gaussian_exact(std_gaussian):
@@ -219,13 +220,22 @@ def test_sum_tail_mc_needs_two_samples(std_gaussian):
             inc.sum_tail(std_gaussian, 100, 30.0, mc_samples=n, mc_stream=(5,))
 
 
-def test_step_cdf_is_the_closed_form_or_one_minus_the_tail(std_gaussian, unit_uniform):
+def test_step_cdf_is_the_closed_form_or_one_minus_the_tail(std_gaussian, unit_uniform,
+                                                           table_model):
+    # these expressions fix the bytes of backward-tilt's KS statistic
     ts = np.linspace(-3.0, 3.0, 61)
     for model in (std_gaussian, inc.tilt(inc.gaussian(0.5, 0.25), 1.0)):
         m, v = model.params
         assert_bitwise(inc.step_cdf(model, ts), ndtr((ts - m) / math.sqrt(v)))
-    assert_bitwise(inc.step_cdf(unit_uniform, ts),
-                   1.0 - np.asarray(inc.step_tail(unit_uniform, ts)))
+    for model in (unit_uniform, inc.uniform(-0.5, 2.0)):
+        lo, hi = model.params
+        assert_bitwise(inc.step_cdf(model, ts), 1.0 - np.clip((hi - ts) / (hi - lo), 0.0, 1.0))
+    # the tabulated tail is the trapezoid mass to the right of t
+    grid, density = table_model.grid, table_model.density
+    seg = (density[1:] + density[:-1]) * 0.5 * np.diff(grid)
+    right = np.append(np.cumsum(seg[::-1])[::-1], 0.0)
+    assert_bitwise(inc.step_cdf(table_model, ts),
+                   1.0 - np.minimum(np.interp(ts, grid, right, left=right[0], right=0.0), 1.0))
 
 
 def test_q_max_is_the_tilted_mean_at_lambda_hi(std_gaussian, unit_uniform, table_model):
@@ -333,6 +343,37 @@ def test_cumulant_array_equals_scalar_calls(data):
         assert_bitwise(getattr(got, field), one_by_one)
 
 
+def test_quadrature_rows_equal_scalar_calls_across_blocks(unit_uniform, table_model):
+    # 150 tilts span three row blocks of a 2001-point grid and four of 3201
+    # points; each row is reduced on its own, so no block boundary moves a bit
+    for model in (unit_uniform, table_model):
+        lams = np.linspace(model.lambda_lo, model.lambda_hi, 150)
+        got = inc.cumulant(model, lams)
+        for field in inc.Cumulant._fields:
+            assert_bitwise(getattr(got, field),
+                           [getattr(inc.cumulant(model, float(lam)), field) for lam in lams])
+    lams = np.linspace(table_model.lambda_lo, table_model.lambda_hi, 150)
+    assert_bitwise(inc.log_mgf(table_model, lams),
+                   [inc.log_mgf(table_model, float(lam)) for lam in lams])
+
+
+def test_quadrature_memory_is_flat(unit_uniform, table_model):
+    # one (tilt, grid) array of 4000 tilts takes 64 MB on the uniform's 2001
+    # points and 102 MB on the table's 3201; the quadrature holds a row block
+    lams = np.linspace(unit_uniform.lambda_lo, unit_uniform.lambda_hi, 4000)
+    table_lams = np.linspace(table_model.lambda_lo, table_model.lambda_hi, 4000)
+    inc.cumulant(unit_uniform, lams[:2])
+    inc.log_mgf(table_model, table_lams[:2])
+    tracemalloc.start()
+    try:
+        inc.cumulant(unit_uniform, lams)
+        inc.log_mgf(table_model, table_lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 @settings(max_examples=25, deadline=None)
 @given(hst.data())
 def test_legendre_array_equals_scalar_calls(data):
@@ -404,8 +445,8 @@ GAUSSIAN_MODELS = tuple(m for m in PROPERTY_MODELS if m.kind == "gaussian")
 
 @settings(max_examples=60, deadline=None)
 @given(hst.data())
-def test_gaussian_sum_tail_and_step_tail_are_tail_curve(data):
-    # both single-point gaussian tails are the one full-line curve, bit for
+def test_gaussian_sum_tail_is_tail_curve(data):
+    # the single-point gaussian tail is the one full-line curve, bit for
     # bit, and that curve is the closed-form normal tail
     model = data.draw(hst.sampled_from(GAUSSIAN_MODELS))
     m, v = model.params
@@ -416,10 +457,6 @@ def test_gaussian_sum_tail_and_step_tail_are_tail_curve(data):
     got = inc.sum_tail(model, tau, y)
     assert got.value == inc.tail_curve(model, tau)(y)
     assert got.value == float(ndtr(-((y - tau * m) / np.sqrt(tau * v))))
-    ts = draw_array(data, m - 12.0 * math.sqrt(v), m + 12.0 * math.sqrt(v))
-    assert_bitwise(inc.step_tail(model, ts), inc.tail_curve(model, 1)(ts))
-    assert_bitwise(inc.step_tail(model, ts), ndtr(-((ts - m) / np.sqrt(v))))
-    assert type(inc.step_tail(model, float(ts[0]))) is float
 
 
 @settings(max_examples=60, deadline=None)

@@ -86,7 +86,8 @@ def test_transform_shift_consistency(rho, alpha, x):
 def test_normalize_single_atom():
     rho = lp.normalize(lp.point_mass(2.0, 4.0))
     assert rho.w[0] == pytest.approx(1.0, abs=1e-12)
-    alpha = lp.normalizing_shift(lp.point_mass(2.0, 4.0))
+    # the normalizing shift is the level-one crossing, log(4) / 2
+    alpha = lp.TailIntensity(lp.point_mass(2.0, 4.0)).inverse(1.0)
     assert alpha == pytest.approx(math.log(4.0) / 2.0, abs=1e-12)
 
 
@@ -96,14 +97,15 @@ def test_normalize_single_atom():
 def test_normalize_idempotent(rho):
     once = lp.normalize(rho)
     assert abs(once.total_mass - 1.0) <= lp.NORMALIZE_TOL
-    assert abs(lp.normalizing_shift(once)) < 1e-12
+    assert abs(lp.TailIntensity(once).inverse(1.0)) < 1e-12
 
 
 def test_normalize_negative_shift_case():
     rho = lp.measure([(1.0, 0.2), (2.0, 0.2)])
-    alpha = lp.normalizing_shift(rho)
-    assert alpha < 0
-    assert abs(lp.normalize(rho).total_mass - 1.0) < 1e-12
+    out = lp.normalize(rho)
+    assert lp.TailIntensity(rho).inverse(1.0) < 0
+    assert np.all(out.w > rho.w)  # a negative shift raises every weight
+    assert abs(out.total_mass - 1.0) < 1e-12
 
 
 def test_convolve_single_atom_gives_front_velocity(std_gaussian, unit_uniform):
@@ -152,8 +154,8 @@ def test_concentration_inequality_on_corpus(std_gaussian, unit_uniform, corpus):
 
 
 def test_steeper_closed_forms():
-    g = lp.exponential_intensity(2.0)
-    f = lp.exponential_intensity(1.0)
+    g = lp.point_mass(2.0)
+    f = lp.point_mass(1.0)
     assert lp.steeper(g, f, LEVELS).holds
     res = lp.steeper(f, g, LEVELS)
     assert not res.holds and res.witness is not None
@@ -163,11 +165,10 @@ def test_steeper_closed_forms():
 @given(measures(), hst.floats(-5.0, 5.0))
 @example(lp.measure([(0.7, 0.4), (2.0, 0.6)]), 1.3)
 def test_steeper_reflexive_and_translates(rho, offset):
-    f = lp.TailIntensity(rho)
-    shifted = lp.TailIntensity(rho, offset)
-    assert lp.steeper(f, f, LEVELS).holds
-    assert lp.steeper(f, shifted, LEVELS).holds
-    assert lp.steeper(shifted, f, LEVELS).holds
+    shifted = lp.shift(rho, offset)
+    assert lp.steeper(rho, rho, LEVELS).holds
+    assert lp.steeper(rho, shifted, LEVELS).holds
+    assert lp.steeper(shifted, rho, LEVELS).holds
 
 
 def test_steeper_after_convolution_on_corpus(std_gaussian, unit_uniform, corpus):
@@ -179,30 +180,34 @@ def test_steeper_after_convolution_on_corpus(std_gaussian, unit_uniform, corpus)
 
 def test_gap_functional_exponential_closed_form():
     for s in (0.5, 1.0, 2.0):
-        f = lp.exponential_intensity(s, z=0.7)
+        rho = lp.shift(lp.point_mass(s), -0.7)
         for u in (0.0, 0.5, 2.0):
-            assert lp.gap_functional(f, u) == pytest.approx(math.exp(-s * u), rel=1e-12)
+            assert lp.gap_functional(rho, u) == pytest.approx(math.exp(-s * u), rel=1e-12)
 
 
 def test_gap_functional_translation_invariance(two_atom):
-    a = lp.gap_functional(lp.TailIntensity(two_atom), 1.0)
-    b = lp.gap_functional(lp.TailIntensity(two_atom, 2.5), 1.0)
+    a = lp.gap_functional(two_atom, 1.0)
+    b = lp.gap_functional(lp.shift(two_atom, 2.5), 1.0)
     assert a == pytest.approx(b, abs=1e-10)
 
 
 def test_gap_functional_equals_integral_over_exact_crossings(std_gaussian, corpus):
-    # the quadrature runs over a bracket that contains [F^-1(40), F^-1(1e-13)];
-    # what lies between the two ranges is below e^-40 and 1e-13
-    for rho in corpus[:10] + [lp.convolve_g(rho, std_gaussian) for rho in corpus[10:15]]:
-        f = lp.TailIntensity(rho, 0.6)
-        x_lo, x_hi = f.inverse(np.array([40.0, lp.TAIL_BUDGET]))
+    # the quadrature runs over a bracket that contains [R^-1(40), R^-1(1e-13)];
+    # what lies between the two ranges is below e^-40 and 1e-13.  One atom
+    # takes the closed form e^{-u_1 u}, which the same integral checks; the
+    # convolved point mass is criterion 8's single-atom case
+    singles = [lp.point_mass(0.3), lp.point_mass(1.3), lp.point_mass(3.0, 0.2),
+               lp.convolve_g(lp.point_mass(1.3), std_gaussian)]
+    for rho in (corpus[:10] + [lp.convolve_g(rho, std_gaussian) for rho in corpus[10:15]]
+                + singles):
+        x_lo, x_hi = lp.TailIntensity(rho).inverse(np.array([40.0, lp.TAIL_BUDGET]))
         for u in (0.5, 3.0):
             def integrand(x: float) -> float:
-                dens = float(np.dot(rho.w * rho.u, np.exp(-(x - 0.6) * rho.u)))
-                return math.exp(-f.value(x - u)) * dens
+                dens = float(np.dot(rho.w * rho.u, np.exp(-x * rho.u)))
+                return math.exp(-lp.transform(rho, x - u)) * dens
 
             exact = quad(integrand, x_lo, x_hi, epsabs=1e-15, epsrel=1e-13, limit=400)[0]
-            assert lp.gap_functional(f, u) == pytest.approx(exact, abs=1e-12)
+            assert lp.gap_functional(rho, u) == pytest.approx(exact, abs=1e-12)
 
 
 def test_gap_functional_strict_decrease_multi_atom(std_gaussian, corpus):
@@ -223,9 +228,9 @@ def test_gap_functional_equality_single_atom(std_gaussian):
 
 def test_expected_gap_closed_form():
     for s in (0.5, 1.0, 2.0):
-        f = lp.exponential_intensity(s)
+        rho = lp.point_mass(s)
         for n in (1, 2, 5, 10):
-            assert lp.expected_gap(f, n) == pytest.approx(1.0 / (n * s), rel=1e-8)
+            assert lp.expected_gap(rho, n) == pytest.approx(1.0 / (n * s), rel=1e-8)
 
 
 def test_expected_gap_contracts_under_convolution(std_gaussian, corpus):
@@ -271,7 +276,7 @@ def test_intensity_inverse_round_trip(two_atom):
     f = lp.TailIntensity(two_atom, 0.3)
     for t in (0.05, 0.4, 3.0, 50.0):
         x = f.inverse(t)
-        assert f.value(x) == pytest.approx(t, rel=1e-9)
+        assert lp.transform(f.rho, x - f.offset) == pytest.approx(t, rel=1e-9)
 
 
 def _many_atoms(n: int, seed: int) -> lp.LaplaceMeasure:
@@ -284,7 +289,7 @@ def test_intensity_inverse_newton_path():
     f = lp.TailIntensity(_many_atoms(2000, 31), -0.7)
     ts = np.geomspace(1e-4, 1e4, 700)
     xs = f.inverse(ts)
-    np.testing.assert_allclose(f.value(xs), ts, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(lp.transform(f.rho, xs - f.offset), ts, rtol=1e-9, atol=0)
     # a one-level call seeds Newton from its own bracket and lands on the same crossing
     for i in range(0, ts.size, 37):
         assert xs[i] == pytest.approx(f.inverse(float(ts[i])), rel=1e-12)
@@ -299,7 +304,8 @@ def test_intensity_inverse_hits_the_level(data):
     offset = data.draw(hst.floats(-5.0, 5.0))
     ts = np.array(data.draw(hst.lists(hst.floats(1e-6, 1e6), min_size=1, max_size=8)))
     f = lp.TailIntensity(lp.measure(zip(u, w)), offset)
-    np.testing.assert_allclose(f.value(f.inverse(ts)), ts, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(lp.transform(f.rho, f.inverse(ts) - f.offset), ts,
+                               rtol=1e-10, atol=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -344,14 +350,6 @@ def test_intensity_inverse_memory_is_flat():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
-
-
-@settings(max_examples=100, deadline=None)
-@given(measures(), hst.floats(-5.0, 5.0))
-@example(lp.measure([(1.0, 0.5), (2.0, 0.5)]), 1.2)
-def test_intensity_normalized(rho, offset):
-    f = lp.TailIntensity(rho, offset).normalized()
-    assert f.value(0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_corpus_properties(corpus):

@@ -149,19 +149,17 @@ def test_mpgfl_estimate_consistency_between_ensembles():
 
 
 def test_mpgfl_poisson_zero_function_total_mass():
-    f = lp.exponential_intensity(1.0)
     fx = np.linspace(0.0, 1.0, 5)
-    got = st.mpgfl_poisson(f, fx, np.zeros(5), window=30.0)
+    got = st.mpgfl_poisson(lp.point_mass(1.0), fx, np.zeros(5), window=30.0)
     assert got.value == pytest.approx(1.0, abs=1e-6)
     assert got.boundary_mass == pytest.approx(0.0, abs=1e-6)
 
 
 def test_mpgfl_poisson_indicator_matches_gap_functional():
     s, u = 1.0, 0.8
-    f = lp.exponential_intensity(s)
     fx = np.array([0.0, 1e-9, u, u + 1e-9, u + 1.0])
     fy = np.array([0.0, 25.0, 25.0, 0.0, 0.0])
-    got = st.mpgfl_poisson(f, fx, fy, window=30.0)
+    got = st.mpgfl_poisson(lp.point_mass(s), fx, fy, window=30.0)
     assert got.value == pytest.approx(math.exp(-s * u), abs=2e-4)
 
 
@@ -170,8 +168,8 @@ def test_mpgfl_poisson_translation_invariance():
     fx = np.linspace(0.0, 3.0, 61)
     fy = np.exp(-((fx - 1.2) / 0.4) ** 2)
     fy[0] = 0.0
-    a = st.mpgfl_poisson(lp.TailIntensity(rho), fx, fy, window=40.0)
-    b = st.mpgfl_poisson(lp.TailIntensity(rho, 3.7), fx, fy, window=40.0)
+    a = st.mpgfl_poisson(rho, fx, fy, window=40.0)
+    b = st.mpgfl_poisson(lp.shift(rho, 3.7), fx, fy, window=40.0)
     assert a.value == pytest.approx(b.value, abs=1e-9)
 
 
@@ -185,7 +183,7 @@ def test_mpgfl_poisson_agrees_with_ensemble_estimate():
     fy[0] = fy[-1] = 0.0
     ensemble = [cf.sample_rem(s, 0.0, 400, (1204, r)) for r in range(4000)]
     value, se = mpgfl_estimate(ensemble, fx, fy)
-    exact = st.mpgfl_poisson(lp.exponential_intensity(s), fx, fy, window=30.0)
+    exact = st.mpgfl_poisson(lp.point_mass(s), fx, fy, window=30.0)
     assert abs(value - exact.value) < 4.0 * se + 1e-5
 
 
