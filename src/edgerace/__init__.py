@@ -1,8 +1,7 @@
 """Simulation and numerical verification of competing particle systems
 evolving by independent increments at the leading edge."""
 
-from .configurations import (Configuration, from_points, gaps, sample_from_tail_intensity,
-                             sample_rem)
+from .configurations import Configuration, gaps, sample_from_tail_intensity, sample_rem
 from .dynamics import EvolutionRecord, EvolutionTrace, evolve, evolve_many, truncation_bias
 from .increments import (Cumulant, IncrementModel, Legendre, TailProbability,
                          TailRatio, cumulant, front_velocity, gaussian, legendre, log_mgf,

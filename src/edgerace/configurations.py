@@ -12,7 +12,6 @@ of a sample is where its n-th point falls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -52,15 +51,6 @@ class Configuration:
     @property
     def size(self) -> int:
         return int(self.positions.size)
-
-
-def from_points(points: Sequence[float], window_depth: float = np.inf) -> Configuration:
-    """Sort arbitrary points descending (stable for ties)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        raise ValueError("cannot build a configuration from an empty list")
-    order = np.argsort(-pts, kind="stable")
-    return Configuration(pts[order], window_depth)
 
 
 def gaps(config: Configuration) -> np.ndarray:

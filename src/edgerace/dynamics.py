@@ -1,17 +1,19 @@
 """One-step evolution by i.i.d. increments, re-ranking, and window honesty.
 
-Each step adds an independent increment to every particle, re-sorts, records
-the relabeling permutation, and re-anchors the faithful window at the new
-leader.  Particles falling behind the window are dropped but counted, and
-`truncation_bias` bounds what a hypothetical exponential continuation below
-the window could have contributed, so experiments can certify that the
-truncation never touches their statistics.
+Each step adds an independent increment to every particle, re-sorts by value,
+and re-anchors the faithful window at the new leader; the relabeling
+permutation is computed only when a caller reads it.  Particles falling
+behind the window are dropped but counted, and `truncation_bias` bounds what
+a hypothetical exponential continuation below the window could have
+contributed, so experiments can certify that the truncation never touches
+their statistics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,35 +25,58 @@ from .streams import StreamKey, substream
 
 @dataclass(frozen=True)
 class EvolutionRecord:
+    """One step from `pre` to `post`.
+
+    `pre` is the configuration passed to `evolve` and shares its memory, as a
+    `Configuration` shares its caller's array; `increments` belongs to the
+    record.
+    """
+
     pre: Configuration
     post: Configuration
     increments: np.ndarray    # indexed by pre-rank, drawn for dropped particles too
-    permutation: np.ndarray   # post-rank -> pre-rank index, retained particles only
     front_displacement: float
     dropped: int
+
+    @cached_property
+    def permutation(self) -> np.ndarray:
+        """Post-rank -> pre-rank index, retained particles only; equal positions
+        keep their pre-rank order.  Computed on the first read."""
+        moved = self.pre.positions + self.increments
+        order = np.argsort(-moved)
+        post = self.post.positions
+        if (post[1:] == post[:-1]).any():
+            # only ties among the retained make the default sort's prefix
+            # differ from a stable one's
+            order = np.argsort(-moved, kind="stable")
+        return order[:post.size]
 
 
 def evolve(config: Configuration, model: inc.IncrementModel,
            stream: StreamKey | None = None,
            increments: Sequence[float] | None = None) -> EvolutionRecord:
-    """One evolution step; increments are drawn unless injected explicitly."""
+    """One evolution step; increments are drawn unless injected explicitly
+    (injected ones are copied)."""
     n = config.size
     if increments is None:
         if stream is None:
             raise ValueError("need a stream key when increments are not injected")
         h = inc.sample(model, n, stream)
     else:
-        h = np.asarray(increments, dtype=float)
+        h = np.array(increments, dtype=float)
         if h.shape != (n,):
             raise ValueError("injected increments must match the particle count")
-    moved = config.positions + h
-    order = np.argsort(-moved)
-    ranked = moved[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        # only ties make the default sort's order differ from a stable one's;
-        # equal positions keep their pre-rank order
-        order = np.argsort(-moved, kind="stable")
-        ranked = moved[order]
+    # descending by value with NaN last, as moved[np.argsort(-moved)]; -(-x) is x
+    ranked = config.positions + h
+    np.negative(ranked, out=ranked)
+    ranked.sort()
+    lo = ranked.searchsorted(0.0)
+    if lo + 1 < n and ranked[lo + 1] == 0.0:
+        # 0.0 and -0.0 tie but differ in bits: list the zeros in pre-rank order
+        moved = config.positions + h
+        zeros = -moved[moved == 0.0]
+        ranked[lo:lo + zeros.size] = zeros
+    np.negative(ranked, out=ranked)
     depth = config.window_depth
     kept = n
     if math.isfinite(depth):
@@ -62,7 +87,6 @@ def evolve(config: Configuration, model: inc.IncrementModel,
         pre=config,
         post=Configuration(ranked[:kept], depth),
         increments=h,
-        permutation=order[:kept],
         front_displacement=float(ranked[0] - config.positions[0]),
         dropped=n - kept,
     )

@@ -185,7 +185,11 @@ class TailIntensity:
             raise ValueError("levels must be positive")
         rho = self.rho
         if rho.n_atoms == 1:
-            out = self.offset - np.log(ts / rho.w[0]) / rho.u[0]
+            # offset - log(ts / w) / u, in one buffer
+            out = ts / rho.w[0]
+            np.log(out, out=out)
+            out /= rho.u[0]
+            np.subtract(self.offset, out, out=out)
         else:
             logt = np.log(ts)
             out = self._inverse_newton(logt, *self._bracket(logt)) + self.offset

@@ -240,7 +240,7 @@ class Extraction(NamedTuple):
     measure: LaplaceMeasure
     z: float              # front prediction used for the weights
     total_weight: float   # mass before merging, approximately one
-    n_dropped: int        # particles removed by the depth truncation
+    n_dropped: int        # particles removed: unattainable or beyond the depth cut
 
 
 def extract_laplace(config: Configuration, model: inc.IncrementModel,
@@ -249,31 +249,29 @@ def extract_laplace(config: Configuration, model: inc.IncrementModel,
 
     Each retained particle contributes an atom at the tilt matching its
     per-step speed demand (z - x_n)/tau, weighted by its tau-step reach
-    probability.  Particles deeper than cutoff*tau below the leader are
-    dropped, the cutoff keeping the attainable tilt an order of magnitude
-    above the mass center of a pilot extraction without cutoff.  Atoms whose
-    tilts lie within MERGE_TOL of each other merge.
+    probability.  Particles whose demand is not attainable (at or above
+    `model.q_max`, as deep particles on a bounded support) are dropped, and so
+    are particles deeper than cutoff*tau below the leader, the cutoff keeping
+    the attainable tilt an order of magnitude above the mass center of a pilot
+    extraction over every attainable particle.  Atoms whose tilts lie within
+    MERGE_TOL of each other merge.
     """
     z = z_front(config, model, tau)
-    curve = tail_curve(model, tau)
-    depths = config.leader - config.positions  # nonnegative, ascending
-
-    def build(limit: float) -> tuple[np.ndarray, np.ndarray, int]:
-        keep = depths <= limit * tau
-        kept = config.positions[keep]
-        qs = (z - kept) / tau
-        if np.any(qs <= model.mean) or np.any(qs >= model.q_max):
-            raise ValueError("tilt out of range for a retained particle")
-        eta, _ = inc.legendre(model, qs)
-        w = curve(z - kept)
-        return eta, w, int(config.size - kept.size)
-
-    eta, w, _ = build(np.inf)
+    # demands ascend with depth, so the attainable particles are a prefix
+    qs = (z - config.positions) / tau
+    if not model.mean < qs[0] < model.q_max:
+        raise ValueError("tilt out of range for the leader")
+    attainable = int(np.count_nonzero(qs < model.q_max))
+    eta, _ = inc.legendre(model, qs[:attainable])
+    w = tail_curve(model, tau)(z - config.positions[:attainable])
     u_mean = float(np.dot(eta, w) / w.sum())
     target_eta = min(10.0 * u_mean, model.lambda_hi)
     # depth limit in speed units: the tilt at mean + cutoff reaches the target
     cutoff = inc.cumulant(model, target_eta).mean - model.mean
-    eta, w, dropped = build(float(cutoff))
+    depths = config.leader - config.positions  # nonnegative, ascending
+    kept = min(attainable, int(np.count_nonzero(depths <= cutoff * tau)))
+    # legendre and the curve work elementwise: the prefix has a rebuild's bits
+    eta, w = eta[:kept], w[:kept]
     total = float(w.sum())
 
     # merge atoms whose tilt coincides within tolerance
@@ -286,4 +284,4 @@ def extract_laplace(config: Configuration, model: inc.IncrementModel,
     np.add.at(w_out, groups, w)
     np.add.at(u_out, groups, eta * w)
     u_out /= w_out
-    return Extraction(LaplaceMeasure(u_out, w_out), z, total, dropped)
+    return Extraction(LaplaceMeasure(u_out, w_out), z, total, config.size - kept)

@@ -13,20 +13,9 @@ from edgerace import poissonization as pz
 from edgerace import stats as st
 
 
-def test_from_points_sorts_descending():
-    config = cf.from_points([-1.0, 0.0, -2.0], window_depth=10.0)
-    np.testing.assert_array_equal(config.positions, [0.0, -1.0, -2.0])
-
-
-def test_from_points_single_and_duplicates():
-    assert cf.from_points([5.0]).positions.tolist() == [5.0]
-    config = cf.from_points([1.0, 3.0, 1.0, 3.0])
-    assert config.positions.tolist() == [3.0, 3.0, 1.0, 1.0]
-
-
-def test_from_points_empty_rejected():
+def test_configuration_empty_rejected():
     with pytest.raises(ValueError):
-        cf.from_points([])
+        cf.Configuration([], np.inf)
 
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324,
@@ -85,13 +74,13 @@ def test_instance_freezes_a_view_not_the_callers_array(build, arrays, fields):
 
 
 def test_gaps_values():
-    config = cf.from_points([0.0, -1.0, -2.0])
+    config = cf.Configuration([0.0, -1.0, -2.0], np.inf)
     np.testing.assert_allclose(cf.gaps(config), [0.0, 1.0, 2.0])
-    assert cf.gaps(cf.from_points([5.0])).tolist() == [0.0]
+    assert cf.gaps(cf.Configuration([5.0], np.inf)).tolist() == [0.0]
 
 
 def test_gaps_shift_invariant():
-    config = cf.from_points([0.3, -0.9, -4.0])
+    config = cf.Configuration([0.3, -0.9, -4.0], np.inf)
     shifted = cf.Configuration(config.positions + 17.5, config.window_depth)
     np.testing.assert_allclose(cf.gaps(config), cf.gaps(shifted))
 

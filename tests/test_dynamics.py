@@ -20,7 +20,7 @@ def std_gaussian():
 
 
 def test_evolve_with_injected_increments(std_gaussian):
-    config = cf.from_points([0.0, -1.0, -2.0], window_depth=10.0)
+    config = cf.Configuration([0.0, -1.0, -2.0], 10.0)
     record = dy.evolve(config, std_gaussian, increments=[0.5, 2.0, 0.1])
     np.testing.assert_allclose(record.post.positions, [1.0, 0.5, -1.9])
     np.testing.assert_array_equal(record.permutation, [1, 0, 2])
@@ -31,7 +31,7 @@ def test_evolve_with_injected_increments(std_gaussian):
 def test_evolve_ties_keep_pre_rank_order(std_gaussian):
     # 300 particles land on six integers (exact arithmetic): 294 ties, each
     # listed in pre-rank order
-    config = cf.from_points(-np.arange(300.0), window_depth=np.inf)
+    config = cf.Configuration(-np.arange(300.0), np.inf)
     landing = (np.arange(300) * 7) % 6
     record = dy.evolve(config, std_gaussian, increments=landing - config.positions)
     perm = record.permutation
@@ -58,7 +58,7 @@ def test_evolve_permutation_matches_increments(data):
     whole = hst.integers(-4, 4).map(float)
     points = data.draw(hst.lists(whole | hst.floats(-10.0, 10.0), min_size=n, max_size=n))
     depth = data.draw(hst.just(np.inf) | hst.floats(0.0, 12.0))
-    config = cf.from_points(points, window_depth=depth)
+    config = cf.Configuration(np.sort(points)[::-1], depth)
     model = inc.gaussian(0.0, 1.0)
     source = data.draw(hst.sampled_from(["ties", "floats", "stream"]))
     if source == "stream":
@@ -146,8 +146,51 @@ def test_replica_path_with_ties_matches_reference_bitwise(std_gaussian, window_d
     assert zero.sum() > 0 and np.all(np.signbit(ex._spacings(record.post.positions)[zero]))
 
 
+def test_evolve_nan_sorts_last_and_leaves_the_window(std_gaussian):
+    # NaN ranks last and fails the window cut, so a finite window drops it;
+    # an infinite window keeps every particle and rejects it
+    config = cf.Configuration([3.0, 2.0, 1.0], 5.0)
+    record = dy.evolve(config, std_gaussian, increments=[math.nan, 0.0, 0.0])
+    assert record.post.positions.tolist() == [2.0, 1.0]
+    assert record.permutation.tolist() == [1, 2]
+    assert record.dropped == 1
+    assert record.front_displacement == -1.0
+    with pytest.raises(ValueError, match="positions must be finite"):
+        dy.evolve(cf.Configuration([3.0, 2.0, 1.0], np.inf), std_gaussian,
+                  increments=[math.nan, 0.0, 0.0])
+
+
+def test_evolve_zero_signs_keep_pre_rank_order(std_gaussian):
+    # 0.0 and -0.0 tie but differ in bits: ranks and positions both follow
+    # the stable sort, so post is moved[permutation] bit for bit
+    rng = np.random.default_rng(17)
+    signed = [1.0, 0.0, -0.0, -1.0]
+    for n in (2, 7, 40, 300):
+        positions = -np.sort(-rng.choice(signed, size=n))
+        h = rng.choice(signed, size=n)
+        record = dy.evolve(cf.Configuration(positions, np.inf), std_gaussian, increments=h)
+        moved = positions + h
+        order = np.argsort(-moved, kind="stable")
+        assert record.permutation.tobytes() == order.tobytes()
+        assert record.post.positions.tobytes() == moved[order].tobytes()
+    zero_signs = np.signbit(moved[moved == 0.0])
+    assert zero_signs.any() and not zero_signs.all()
+
+
+def test_evolve_copies_injected_increments(std_gaussian):
+    # the permutation is computed on its first read, after the caller may
+    # have reused its array
+    h = np.array([0.5, 2.0, 0.1])
+    record = dy.evolve(cf.Configuration([0.0, -1.0, -2.0], np.inf), std_gaussian,
+                       increments=h)
+    h[:] = [3.0, 0.0, 0.0]
+    assert record.increments.tolist() == [0.5, 2.0, 0.1]
+    assert record.permutation.tolist() == [1, 0, 2]
+    assert record.permutation is record.permutation
+
+
 def test_evolve_single_particle(std_gaussian):
-    config = cf.from_points([3.0], window_depth=1.0)
+    config = cf.Configuration([3.0], 1.0)
     record = dy.evolve(config, std_gaussian, stream=(42,))
     assert record.post.size == 1
     assert record.post.positions[0] == pytest.approx(3.0 + record.increments[0])
@@ -164,7 +207,7 @@ def test_evolve_near_deterministic_drift():
 
 
 def test_evolve_window_reanchoring(std_gaussian):
-    config = cf.from_points([0.0, -0.5, -3.0], window_depth=2.0)
+    config = cf.Configuration([0.0, -0.5, -3.0], 2.0)
     record = dy.evolve(config, std_gaussian, increments=[1.0, 1.0, 1.0])
     # all particles move together; the trailing one stays 3 behind and is dropped
     assert record.dropped == 1
@@ -174,15 +217,15 @@ def test_evolve_window_reanchoring(std_gaussian):
 def test_evolve_increments_drawn_for_dropped_particles(std_gaussian):
     # stream alignment: the retained particles see the same increments
     # regardless of how deep the window reaches
-    deep = cf.from_points([0.0, -1.0, -2.0, -9.0], window_depth=20.0)
-    shallow = cf.from_points([0.0, -1.0, -2.0, -9.0], window_depth=3.0)
+    deep = cf.Configuration([0.0, -1.0, -2.0, -9.0], 20.0)
+    shallow = cf.Configuration([0.0, -1.0, -2.0, -9.0], 3.0)
     r_deep = dy.evolve(deep, std_gaussian, stream=(4, 4))
     r_shallow = dy.evolve(shallow, std_gaussian, stream=(4, 4))
     np.testing.assert_array_equal(r_deep.increments, r_shallow.increments)
 
 
 def test_evolve_many_zero_steps(std_gaussian):
-    config = cf.from_points([1.0, 0.0])
+    config = cf.Configuration([1.0, 0.0], np.inf)
     trace = dy.evolve_many(config, std_gaussian, 0, (5,))
     np.testing.assert_array_equal(trace.final.positions, config.positions)
     assert trace.displacements.size == 0
@@ -241,7 +284,7 @@ def test_truncation_bias_uniform_support_cutoff():
 
 
 def test_truncation_bias_degenerate_fit(std_gaussian):
-    single = cf.from_points([0.0], window_depth=0.0)
+    single = cf.Configuration([0.0], 0.0)
     with pytest.raises(ValueError):
         dy.truncation_bias(single, std_gaussian, 1, 0.0)
 
@@ -288,7 +331,7 @@ def test_two_particle_spreading(std_gaussian):
     for tau in (1, 10, 100):
         hits = 0
         for r in range(reps):
-            config = cf.from_points([0.0, -0.5])
+            config = cf.Configuration([0.0, -0.5], np.inf)
             trace = dy.evolve_many(config, std_gaussian, tau, (94, tau, r))
             if trace.final.positions[0] - trace.final.positions[1] > y:
                 hits += 1

@@ -28,7 +28,7 @@ def rem_config():
 
 
 def test_expected_count_single_particle(std_gaussian):
-    config = cf.from_points([0.0])
+    config = cf.Configuration([0.0], np.inf)
     for tau, x in ((1, 1.0), (4, 3.0)):
         expected = float(norm.sf(x / math.sqrt(tau)))
         got = pz.expected_count_above(config, std_gaussian, tau, x)
@@ -36,15 +36,15 @@ def test_expected_count_single_particle(std_gaussian):
 
 
 def test_expected_count_two_particles(std_gaussian):
-    config = cf.from_points([0.0, -1.0])
+    config = cf.Configuration([0.0, -1.0], np.inf)
     got = pz.expected_count_above(config, std_gaussian, 1, 1.0)
     assert got == pytest.approx(0.18140538587963628, rel=1e-12)
 
 
 def test_expected_count_one_step_values(std_gaussian):
-    single = cf.from_points([0.0])
+    single = cf.Configuration([0.0], np.inf)
     assert pz.expected_count_above(single, std_gaussian, 1, 0.0) == pytest.approx(0.5, abs=1e-12)
-    pair = cf.from_points([0.0, -1.0])
+    pair = cf.Configuration([0.0, -1.0], np.inf)
     expected = float(norm.sf(1.0) + norm.sf(2.0))
     assert pz.expected_count_above(pair, std_gaussian, 1, 1.0) == pytest.approx(expected,
                                                                                rel=1e-12)
@@ -77,7 +77,7 @@ def test_expected_count_array_equals_scalar_calls(data):
 
 def test_expected_count_mc_backend_validates_curve(std_gaussian):
     # every summand re-estimated under its own tilt, one substream per particle
-    config = cf.from_points([0.0, -0.7, -1.9])
+    config = cf.Configuration([0.0, -0.7, -1.9], np.inf)
     exact = pz.expected_count_above(config, std_gaussian, 4, 3.0)
     mc = sum(inc.sum_tail(std_gaussian, 4, 3.0 - pos, mc_samples=200_000,
                           mc_stream=(71, i)).value
@@ -93,7 +93,7 @@ def test_expected_count_monotone(std_gaussian, rem_config):
 
 def test_z_front_single_particle_has_no_crossing(std_gaussian):
     with pytest.raises(ValueError):
-        pz.z_front(cf.from_points([0.0]), std_gaussian, 5)
+        pz.z_front(cf.Configuration([0.0], np.inf), std_gaussian, 5)
 
 
 def test_z_front_without_upper_crossing_is_an_error(std_gaussian, monkeypatch):
@@ -101,7 +101,7 @@ def test_z_front_without_upper_crossing_is_an_error(std_gaussian, monkeypatch):
     # below one, so no bracket holds the crossing
     monkeypatch.setattr(pz, "tail_curve", lambda model, tau: lambda d: np.ones_like(d))
     with pytest.raises(ValueError, match="never drops below one"):
-        pz.z_front(cf.from_points([0.0, -1.0, -2.0]), std_gaussian, 1)
+        pz.z_front(cf.Configuration([0.0, -1.0, -2.0], np.inf), std_gaussian, 1)
 
 
 def test_z_front_rem_band(std_gaussian, rem_config):
@@ -129,7 +129,7 @@ def test_z_front_shift_equivariance(std_gaussian, rem_config):
 
 
 def test_leader_laws_single_particle_poissonization_fails(std_gaussian):
-    config = cf.from_points([0.0])
+    config = cf.Configuration([0.0], np.inf)
     grid = np.linspace(-6.0, 6.0, 801)
     exact, surrogate = pz.leader_laws(config, std_gaussian, 1, grid=grid)
     assert float(np.abs(exact.cdf - surrogate.cdf).max()) > 0.3
@@ -215,7 +215,7 @@ def test_extraction_atoms_sorted_and_positive(std_gaussian, rem_config):
 def test_extraction_merges_coinciding_atoms(std_gaussian):
     # particles at identical positions produce identical atoms, merged by
     # weight addition
-    config = cf.from_points([0.0, -1.0, -1.0, -1.0, -2.5], window_depth=np.inf)
+    config = cf.Configuration([0.0, -1.0, -1.0, -1.0, -2.5], np.inf)
     ext = pz.extract_laplace(config, std_gaussian, 6)
     assert ext.measure.n_atoms == 3
     assert ext.total_weight == pytest.approx(ext.measure.total_mass, abs=1e-12)
@@ -224,6 +224,33 @@ def test_extraction_merges_coinciding_atoms(std_gaussian):
     expected_w1 = 3.0 * curve(np.array([ext.z + 1.0]))[0]
     assert ext.measure.w[1] == pytest.approx(expected_w1, rel=1e-12)
     np.testing.assert_allclose(ext.measure.u, qs, rtol=1e-12)
+
+
+def test_extraction_drops_unattainable_particles_on_bounded_support():
+    # on uniform(0, 1) particles far behind the front cannot keep up in tau
+    # steps: they are dropped and counted instead of failing the extraction
+    model, tau = inc.uniform(0.0, 1.0), 4
+    config = cf.Configuration(cf.sample_rem(1.0, 0.0, 200, (611, 0, 0)).positions, np.inf)
+    ext = pz.extract_laplace(config, model, tau)
+    qs = (ext.z - config.positions) / tau
+    attainable = int(np.count_nonzero(qs < model.q_max))
+    assert 0 < attainable < config.size
+    assert ext.n_dropped >= config.size - attainable
+    kept = config.size - ext.n_dropped
+    # the kept atoms are a prefix, with the bits of a build on the prefix alone
+    w = pz.tail_curve(model, tau)(ext.z - config.positions[:kept])
+    assert ext.total_weight == float(w.sum())
+    assert ext.total_weight == pytest.approx(1.0, abs=0.01)
+    assert np.all(np.diff(ext.measure.u) > 0) and ext.measure.u[-1] <= model.lambda_hi
+
+
+def test_extraction_rejects_a_leader_ahead_of_the_front(std_gaussian):
+    # the leader's demand (z - x1)/tau lies below the untilted mean, where no
+    # positive tilt represents it
+    config = cf.Configuration([3.0, 0.0, -0.5], np.inf)
+    assert pz.z_front(config, std_gaussian, 1) < config.leader
+    with pytest.raises(ValueError, match="tilt out of range"):
+        pz.extract_laplace(config, std_gaussian, 1)
 
 
 def test_extraction_round_trip_first_gap(std_gaussian):
