@@ -386,7 +386,10 @@ def _run_poissonize(spec: ExperimentSpec) -> ExperimentReport:
 
     base = cf.sample_rem(spec.s, 0.0, depth, substream(key, 10 ** 6, 0))
     omega = cf.Configuration(base.positions, np.inf)
-    ext = pz.extract_laplace(omega, model, rt_tau)
+    try:
+        ext = pz.extract_laplace(omega, model, rt_tau)
+    except ValueError as err:
+        raise ValueError(f"poissonize round trip at roundtrip_tau {rt_tau}: {err}") from err
     intensity = lp.TailIntensity(ext.measure, ext.z)
 
     rng = generator(substream(key, 10 ** 6, 1))
@@ -417,45 +420,25 @@ def _run_poissonize(spec: ExperimentSpec) -> ExperimentReport:
     return ExperimentReport(spec, metrics, tables)
 
 
-def _collapse_oracle(lam1: float, lam2: float, threshold: float) -> tuple[int, float]:
+def _collapse_oracle(lam1: float, lam2: float, threshold: float) -> int:
     """Weight-ratio recursion for an even two-atom measure at u = 1 and u = 2.
 
     Convolution multiplies w1 by e^{lam1 - z} and w2 by e^{lam2 - 2z}, lam_k
     being the log moment at u = k, with z the shift that restores unit mass.
-    z comes from bisection on a bracket [0, 50] widened until it holds the
-    root; the bisection stops once its midpoint equals an end, where further
-    halving no longer moves it.  The weights are kept as logs, and the log
-    mass max(a, b) + log1p(e^{-|a - b|}) of the two terms is compared with 0,
-    so a log moment far above 709 (a model shifted far up) cannot overflow.
-    Returns the first iteration whose w1 falls below threshold, and its z.
+    With a = log w1 + lam1, b = log w2 + lam2 and y = e^{-z}, that mass is
+    e^a y + e^b y^2 = 1, whose positive root is y = 2 / (e^a + sqrt(e^{2a} +
+    4 e^b)).  z is taken in log space, so a log moment far above 709 (a model
+    shifted far up) cannot overflow.  Returns the first iteration whose w1
+    falls below threshold.
     """
     lw1 = lw2 = math.log(0.5)
-
-    def log_mass(z: float) -> float:
-        a, b = lw1 + lam1 - z, lw2 + lam2 - 2 * z
-        if a < b:
-            a, b = b, a
-        return a + math.log1p(math.exp(b - a))
-
     for it in range(1, 500):
-        lo, hi = 0.0, 50.0
-        while log_mass(lo) <= 0.0:
-            lo -= 50.0
-        while log_mass(hi) > 0.0:
-            hi += 50.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if log_mass(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        z = 0.5 * (lo + hi)
+        a, b = lw1 + lam1, lw2 + lam2
+        z = np.logaddexp(a, 0.5 * np.logaddexp(2.0 * a, math.log(4.0) + b)) - math.log(2.0)
         lw1 += lam1 - z
         lw2 += lam2 - 2 * z
         if math.exp(lw1) < threshold:
-            return it, z
+            return it
     raise ArithmeticError("oracle recursion failed to collapse")
 
 
@@ -490,8 +473,8 @@ def _run_contraction(spec: ExperimentSpec) -> ExperimentReport:
 
     # atom collapse: iterate the convolution on an even two-atom measure and
     # compare against the weight-ratio recursion solved independently
-    expected_iters, _ = _collapse_oracle(inc.log_mgf(model, 1.0), inc.log_mgf(model, 2.0),
-                                         threshold)
+    expected_iters = _collapse_oracle(inc.log_mgf(model, 1.0), inc.log_mgf(model, 2.0),
+                                      threshold)
     rho = lp.measure([(1.0, 0.5), (2.0, 0.5)])
     track_rows = []
     iters = None

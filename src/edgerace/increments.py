@@ -1,8 +1,10 @@
 """One-step increment distributions and their large-deviation machinery.
 
-An :class:`IncrementModel` carries a density on a uniform quadrature grid and,
-for the gaussian and uniform kinds, closed forms that are used wherever they
-are exact.  On top of the density sit the cumulant generating function and its
+An :class:`IncrementModel` holds only the data its kind's formulas read.  The
+gaussian is closed form throughout and carries no table.  The uniform and
+tabulated kinds carry a density on a uniform quadrature grid; the uniform has
+closed forms wherever they are exact and reads its support off the grid's
+ends.  On top of each kind sit the cumulant generating function and its
 Legendre transform (each one vectorised function that also takes scalars),
 exponential tilting and i.i.d. sampling.  The log moment Lambda alone comes from
 `log_mgf`; `cumulant` adds the tilted mean and variance, which only the
@@ -63,22 +65,26 @@ class TailRatio(NamedTuple):
 
 @dataclass(frozen=True)
 class IncrementModel:
-    """Increment law with quadrature grid and declared safe tilt range.
+    """Increment law: its kind's data and a declared safe tilt range.
 
+    The gaussian's formulas read only its mean and variance, so it carries no
+    table.  The uniform and tabulated kinds carry a density on a grid, which
+    is checked on construction; the uniform's support is [grid[0], grid[-1]].
     Given float64 arrays, the instance shares their memory and holds
     read-only views of them; the caller's arrays stay writable.
     """
 
-    kind: str                 # "gaussian" | "uniform" | "tabulated"
-    grid: np.ndarray          # uniform, ascending
-    density: np.ndarray      # nonnegative, integrates to 1
-    lambda_lo: float          # declared safe range for exponential moments
+    kind: str                    # "gaussian" | "uniform" | "tabulated"
+    grid: np.ndarray | None      # uniform, ascending; None for the gaussian
+    density: np.ndarray | None   # nonnegative, integrates to 1; None for the gaussian
+    lambda_lo: float             # declared safe range for exponential moments
     lambda_hi: float
     mean: float
     variance: float
-    params: tuple[float, ...]  # (m, var) / (lo, hi) / ()
 
     def __post_init__(self):
+        if self.grid is None and self.density is None:
+            return
         g, d = _table(self.grid, self.density)
         h = np.diff(g)
         if not np.all(h > 0) or not np.allclose(h, h[0], rtol=1e-6, atol=0):
@@ -136,6 +142,12 @@ def _log_density(model: IncrementModel) -> np.ndarray:
         return np.log(model.density)
 
 
+def _compact_cap(lo: float, hi: float) -> float:
+    """Tilt cap keeping |lambda| times the extent of a support [lo, hi] within budget."""
+    span = max(abs(lo), abs(hi), hi - lo)
+    return _COMPACT_EXPONENT_CAP / max(span, 1e-12)
+
+
 def _safe_lambda_bounds(grid: np.ndarray, density: np.ndarray) -> tuple[float, float]:
     """Largest tilt range the grid supports without hidden truncation.
 
@@ -151,8 +163,7 @@ def _safe_lambda_bounds(grid: np.ndarray, density: np.ndarray) -> tuple[float, f
     logw = np.log(w)
     edge = max(2, grid.size // 100)
 
-    span = max(abs(grid[0]), abs(grid[-1]), grid[-1] - grid[0])
-    cap = _COMPACT_EXPONENT_CAP / max(span, 1e-12)
+    cap = _compact_cap(grid[0], grid[-1])
 
     peak = float(density.max())
     if density[0] > 1e-12 * peak or density[-1] > 1e-12 * peak:
@@ -187,12 +198,10 @@ def gaussian(mean: float, variance: float) -> IncrementModel:
     if not 0.0 < variance < np.inf:
         raise ValueError(f"gaussian variance must be positive and finite, got {variance!r}")
     sd = float(np.sqrt(variance))
-    # the table only backs the density check: every gaussian formula is closed form
-    grid = np.linspace(mean - 12.0 * sd, mean + 12.0 * sd, 4001)
-    density = np.exp(-0.5 * ((grid - mean) / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
-    lam = 5.5 * sd / variance  # the tilted mean at lam stays 6.5 sd inside the table
-    return IncrementModel("gaussian", grid, density, -lam, lam,
-                          float(mean), float(variance), (float(mean), float(variance)))
+    # the tilted mean at lam is q_max = mean + 5.5 sd, the largest per-step
+    # target that legendre, sum_tail, extract_laplace and convolution_shift accept
+    lam = 5.5 * sd / variance
+    return IncrementModel("gaussian", None, None, -lam, lam, float(mean), float(variance))
 
 
 def uniform(lo: float, hi: float, *, grid_points: int = 2001) -> IncrementModel:
@@ -203,10 +212,10 @@ def uniform(lo: float, hi: float, *, grid_points: int = 2001) -> IncrementModel:
         raise ValueError(f"uniform needs lo < hi, got lo={lo!r}, hi={hi!r}")
     grid = np.linspace(lo, hi, grid_points)
     density = np.full(grid_points, 1.0 / (hi - lo))
-    span = max(abs(lo), abs(hi), hi - lo)
-    cap = _COMPACT_EXPONENT_CAP / max(span, 1e-12)
+    cap = _compact_cap(lo, hi)
+    # linspace sets both ends exactly, so the grid carries the support
     return IncrementModel("uniform", grid, density, -cap, cap,
-                          0.5 * (lo + hi), (hi - lo) ** 2 / 12.0, (float(lo), float(hi)))
+                          0.5 * (lo + hi), (hi - lo) ** 2 / 12.0)
 
 
 def tabulated(grid: Sequence[float], density: Sequence[float]) -> IncrementModel:
@@ -215,7 +224,7 @@ def tabulated(grid: Sequence[float], density: Sequence[float]) -> IncrementModel
     mean = float(np.dot(w, grid * density))
     var = float(np.dot(w, (grid - mean) ** 2 * density))
     lam_lo, lam_hi = _safe_lambda_bounds(grid, density)
-    return IncrementModel("tabulated", grid, density, lam_lo, lam_hi, mean, var, ())
+    return IncrementModel("tabulated", grid, density, lam_lo, lam_hi, mean, var)
 
 
 def _check_lambda(model: IncrementModel, lam: np.ndarray | float) -> None:
@@ -268,10 +277,10 @@ def log_mgf(model: IncrementModel, lam: np.ndarray | float) -> float | np.ndarra
     _check_lambda(model, lams)
     flat = lams.ravel()
     if model.kind == "gaussian":
-        m, v = model.params
+        m, v = model.mean, model.variance
         value = m * flat + 0.5 * v * flat * flat
     elif model.kind == "uniform":
-        value = _uniform_log_mgf(*model.params, flat)
+        value = _uniform_log_mgf(model.grid[0], model.grid[-1], flat)
     else:
         value = np.empty(flat.size)
         for rows in row_blocks(flat.size, model.grid.size):
@@ -294,7 +303,7 @@ def cumulant(model: IncrementModel, lam: np.ndarray | float) -> Cumulant:
     flat = lams.ravel()
     value = log_mgf(model, flat)  # checks the tilts
     if model.kind == "gaussian":
-        m, v = model.params
+        m, v = model.mean, model.variance
         mean, var = m + v * flat, np.full_like(flat, v)
     else:
         _, mean, var = _quad_cumulant(model, flat)
@@ -320,8 +329,7 @@ def legendre(model: IncrementModel, q: np.ndarray | float) -> Legendre:
     if np.any(below):
         raise ValueError(f"target mean {qs[below][0]} below the untilted mean {model.mean}")
     if model.kind == "gaussian":
-        m, v = model.params
-        eta = (qs - m) / v
+        eta = (qs - model.mean) / model.variance
     else:
         table = np.linspace(0.0, model.lambda_hi, 512)
         means = cumulant(model, table).mean
@@ -360,11 +368,15 @@ def tilt(model: IncrementModel, s: float) -> IncrementModel:
     if s == 0.0:
         return model
     if model.kind == "gaussian":
-        m, v = model.params
-        return gaussian(m + v * s, v)
+        return gaussian(model.mean + model.variance * s, model.variance)
     log_norm = log_mgf(model, s)
     density = np.exp(s * model.grid + _log_density(model) - log_norm)
     return tabulated(model.grid, density)
+
+
+def _cell_masses(model: IncrementModel) -> np.ndarray:
+    """Trapezoid mass of each grid cell."""
+    return (model.density[1:] + model.density[:-1]) * 0.5 * np.diff(model.grid)
 
 
 def sample(model: IncrementModel, n: int, stream: StreamKey) -> np.ndarray:
@@ -375,13 +387,10 @@ def sample(model: IncrementModel, n: int, stream: StreamKey) -> np.ndarray:
     if n == 0:
         return np.empty(0)
     if model.kind == "gaussian":
-        m, v = model.params
-        return rng.normal(m, np.sqrt(v), size=n)
+        return rng.normal(model.mean, np.sqrt(model.variance), size=n)
     if model.kind == "uniform":
-        lo, hi = model.params
-        return rng.uniform(lo, hi, size=n)
-    cdf = np.concatenate([[0.0], np.cumsum((model.density[1:] + model.density[:-1])
-                                           * 0.5 * np.diff(model.grid))])
+        return rng.uniform(model.grid[0], model.grid[-1], size=n)
+    cdf = np.concatenate([[0.0], np.cumsum(_cell_masses(model))])
     cdf /= cdf[-1]
     return np.interp(rng.random(n), cdf, model.grid)
 
@@ -391,12 +400,11 @@ def step_cdf(model: IncrementModel, t: np.ndarray | float) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if model.kind == "gaussian":
         from scipy.special import ndtr  # here, so importing the package skips scipy
-        m, v = model.params
-        return ndtr((t - m) / np.sqrt(v))
+        return ndtr((t - model.mean) / np.sqrt(model.variance))
     if model.kind == "uniform":
-        lo, hi = model.params
+        lo, hi = model.grid[0], model.grid[-1]
         return 1.0 - np.clip((hi - t) / (hi - lo), 0.0, 1.0)
-    seg = (model.density[1:] + model.density[:-1]) * 0.5 * np.diff(model.grid)
+    seg = _cell_masses(model)
     right = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     return 1.0 - np.minimum(np.interp(t, model.grid, right, left=right[0], right=0.0), 1.0)
 
@@ -515,8 +523,8 @@ def tail_curve(model: IncrementModel, tau: int) -> Callable[[np.ndarray], np.nda
     """
     from scipy.special import log_ndtr, ndtr  # here, once per curve built, not per call
     if model.kind == "gaussian":
-        m, v = model.params
-        scale = np.sqrt(tau * v)
+        m = model.mean
+        scale = np.sqrt(tau * model.variance)
 
         def curve_exact(y: np.ndarray) -> np.ndarray:
             # upper normal tail via ndtr of the negated argument (fast path)
@@ -558,8 +566,7 @@ def log_tail_bound(model: IncrementModel, tau: int, t: np.ndarray) -> np.ndarray
     from scipy.special import log_ndtr  # here, so importing the package skips scipy
     t = np.asarray(t, dtype=float)
     if model.kind == "gaussian":
-        m, v = model.params
-        return log_ndtr(-((t - tau * m) / np.sqrt(tau * v)))
+        return log_ndtr(-((t - tau * model.mean) / np.sqrt(tau * model.variance)))
     out = np.zeros_like(t)
     sup = tau * model.sup_support
     out[t >= sup] = -np.inf

@@ -254,13 +254,16 @@ def extract_laplace(config: Configuration, model: inc.IncrementModel,
     are particles deeper than cutoff*tau below the leader, the cutoff keeping
     the attainable tilt an order of magnitude above the mass center of a pilot
     extraction over every attainable particle.  Atoms whose tilts lie within
-    MERGE_TOL of each other merge.
+    MERGE_TOL of each other merge.  A leader whose own demand lies outside
+    (model.mean, model.q_max), as one far ahead of the rest, raises ValueError.
     """
     z = z_front(config, model, tau)
     # demands ascend with depth, so the attainable particles are a prefix
     qs = (z - config.positions) / tau
     if not model.mean < qs[0] < model.q_max:
-        raise ValueError("tilt out of range for the leader")
+        raise ValueError(f"tilt out of range for the leader: its per-step demand "
+                         f"(z - x1)/tau = {qs[0]:.6g} at tau {tau} is not inside "
+                         f"(mean {model.mean:.6g}, q_max {model.q_max:.6g})")
     attainable = int(np.count_nonzero(qs < model.q_max))
     eta, _ = inc.legendre(model, qs[:attainable])
     w = tail_curve(model, tau)(z - config.positions[:attainable])

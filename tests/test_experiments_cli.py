@@ -385,6 +385,24 @@ def test_cli_root_solve_that_does_not_converge_is_usage_error(tmp_path, capsys, 
     assert not out_dir.exists()
 
 
+def test_cli_poissonize_leader_ahead_of_the_front_names_the_round_trip(tmp_path, capsys):
+    # the round-trip base of seed 611 has its leader 3.36 ahead of the second
+    # particle: at roundtrip_tau 4 its per-step demand, -0.31, is below the
+    # mean, where no positive tilt represents it
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"experiment": "poissonize", "seed": 611, "model": GAUSSIAN,
+                                  "ensemble": 1, "depth": 2000, "taus": [1, 8],
+                                  "roundtrip_tau": 4, "roundtrip_reps": 100}))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("edgerace: poissonize round trip at roundtrip_tau 4: "
+                          "tilt out of range for the leader: its per-step demand")
+    assert "at tau 4 " in err and "(mean 0," in err
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def collapse_oracle_200_steps(lam1, lam2, threshold):
     # reference: the bracket [0, 50] widened in steps of 50, then every one
     # of 200 bisection steps, with no early exit; log weights, log mass
@@ -418,14 +436,15 @@ def collapse_oracle_200_steps(lam1, lam2, threshold):
 @given(hst.data())
 def test_collapse_oracle_early_exit_is_exact(data):
     # lam_k = k m + k^2 v / 2 + c_k is a convex log moment at u = 1, 2 shifted
-    # by m; |m| up to 200 needs a bracket widened far beyond [0, 50]
+    # by m; |m| up to 200 needs the reference's bracket widened far beyond
+    # [0, 50].  Only the iteration count reaches a report, so only it is compared
     m = data.draw(hst.one_of(hst.floats(-3.0, 3.0), hst.floats(-200.0, 200.0)))
     v = data.draw(hst.floats(0.1, 5.0))
     lam1 = m + 0.5 * v + data.draw(hst.floats(-0.01, 0.01))
     lam2 = 2.0 * m + 2.0 * v
     threshold = data.draw(hst.sampled_from((1e-3, 1e-6, 0.2)))
     assert ex._collapse_oracle(lam1, lam2, threshold) == \
-        collapse_oracle_200_steps(lam1, lam2, threshold)
+        collapse_oracle_200_steps(lam1, lam2, threshold)[0]
 
 
 @pytest.mark.parametrize("shifted, unshifted", [
@@ -520,6 +539,24 @@ def test_integral_float_option_writes_the_same_report(tmp_path):
         ex.write_report(ex.run(spec), str(out))
         files.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert files[0] == files[1]
+
+
+def test_uniform_negative_zero_lo_writes_the_same_report(tmp_path):
+    # the uniform reads lo off its grid, where -0.0 is 0.0; manifest.json
+    # records the model as given, so only its model entry may differ
+    files = []
+    for lo in (0.0, -0.0):
+        spec = ex.parse_spec({"experiment": "velocity", "seed": 611, "ensemble": 40,
+                              "depth": 500, "taus": [8],
+                              "model": {"kind": "uniform", "lo": lo, "hi": 1.0}})
+        out = tmp_path / repr(lo)
+        ex.write_report(ex.run(spec), str(out))
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    manifests = [json.loads(f.pop("manifest.json")) for f in files]
+    assert files[0] == files[1]
+    for manifest in manifests:
+        del manifest["model"]
+    assert manifests[0] == manifests[1]
 
 
 def test_reports_byte_identical_across_thread_counts(tmp_path):

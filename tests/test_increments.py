@@ -35,9 +35,24 @@ def table_model():
     return inc.tabulated(grid, raw / np.dot(w, raw))
 
 
-def test_density_normalization(std_gaussian, unit_uniform, table_model):
-    for model in (std_gaussian, unit_uniform, table_model):
+def test_density_normalization(unit_uniform, table_model):
+    for model in (unit_uniform, table_model):
         assert abs(inc._integrate(model.grid, model.density) - 1.0) < 1e-8
+
+
+def test_gaussian_carries_no_table(std_gaussian):
+    # every gaussian formula is closed form in its mean and variance
+    for model in (std_gaussian, inc.tilt(std_gaussian, 1.0)):
+        assert model.grid is None and model.density is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.floats(-1e3, 1e3), hst.floats(1e-2, 1e3), hst.integers(5, 2001))
+def test_uniform_grid_ends_are_its_support(lo, span, grid_points):
+    # the uniform's formulas read lo and hi off the grid's ends
+    hi = lo + span
+    model = inc.uniform(lo, hi, grid_points=grid_points)
+    assert model.grid[0] == lo and model.grid[-1] == hi
 
 
 def test_cumulant_gaussian_closed_form(std_gaussian):
@@ -115,8 +130,8 @@ def test_tilt_gaussian_closed_form():
     model = inc.gaussian(0.4, 2.5)
     tilted = inc.tilt(model, 1.2)
     assert tilted.kind == "gaussian"
-    assert tilted.params[0] == pytest.approx(0.4 + 2.5 * 1.2, abs=1e-12)
-    assert tilted.params[1] == pytest.approx(2.5, abs=1e-12)
+    assert tilted.mean == pytest.approx(0.4 + 2.5 * 1.2, abs=1e-12)
+    assert tilted.variance == pytest.approx(2.5, abs=1e-12)
 
 
 def test_tilt_identity_at_zero(unit_uniform):
@@ -220,16 +235,15 @@ def test_sum_tail_mc_needs_two_samples(std_gaussian):
             inc.sum_tail(std_gaussian, 100, 30.0, mc_samples=n, mc_stream=(5,))
 
 
-def test_step_cdf_is_the_closed_form_or_one_minus_the_tail(std_gaussian, unit_uniform,
-                                                           table_model):
+def test_step_cdf_is_the_closed_form_or_one_minus_the_tail(std_gaussian, table_model):
     # these expressions fix the bytes of backward-tilt's KS statistic
     ts = np.linspace(-3.0, 3.0, 61)
     for model in (std_gaussian, inc.tilt(inc.gaussian(0.5, 0.25), 1.0)):
-        m, v = model.params
+        m, v = model.mean, model.variance
         assert_bitwise(inc.step_cdf(model, ts), ndtr((ts - m) / math.sqrt(v)))
-    for model in (unit_uniform, inc.uniform(-0.5, 2.0)):
-        lo, hi = model.params
-        assert_bitwise(inc.step_cdf(model, ts), 1.0 - np.clip((hi - ts) / (hi - lo), 0.0, 1.0))
+    for lo, hi in ((0.0, 1.0), (-0.5, 2.0)):
+        assert_bitwise(inc.step_cdf(inc.uniform(lo, hi), ts),
+                       1.0 - np.clip((hi - ts) / (hi - lo), 0.0, 1.0))
     # the tabulated tail is the trapezoid mass to the right of t
     grid, density = table_model.grid, table_model.density
     seg = (density[1:] + density[:-1]) * 0.5 * np.diff(grid)
@@ -306,9 +320,9 @@ def test_tabulated_rejects_malformed_tables():
 
 def test_model_from_dict_round_trip():
     m = inc.model_from_dict({"kind": "gaussian", "mean": 1.0, "variance": 4.0})
-    assert m.kind == "gaussian" and m.params == (1.0, 4.0)
+    assert m.kind == "gaussian" and (m.mean, m.variance) == (1.0, 4.0)
     u = inc.model_from_dict({"kind": "uniform", "lo": -1.0, "hi": 1.0})
-    assert u.params == (-1.0, 1.0)
+    assert u.kind == "uniform" and (u.grid[0], u.grid[-1]) == (-1.0, 1.0)
     with pytest.raises(ValueError):
         inc.model_from_dict({"kind": "cauchy"})
 
@@ -413,6 +427,14 @@ def draw_model(data):
     return TILTED_UNIFORM
 
 
+def gaussian_table(m, v):
+    # a tabulated copy of gaussian(m, v) on 4001 points over m +- 12 sd, for
+    # the quadrature paths that a gaussian, carrying no table, never takes
+    sd = float(np.sqrt(v))
+    grid = np.linspace(m - 12.0 * sd, m + 12.0 * sd, 4001)
+    return inc.tabulated(grid, np.exp(-0.5 * ((grid - m) / sd) ** 2) / (sd * np.sqrt(2 * np.pi)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(hst.data())
 def test_log_mgf_is_the_cumulant_value(data):
@@ -428,7 +450,8 @@ def test_log_mgf_is_the_cumulant_value(data):
         value = inc.log_mgf(model, lam)
         assert type(value) is float
         assert value == inc.cumulant(model, lam).value
-    quad_value = inc._quad_cumulant(model, lams[lams != 0.0])[0]
+    table = gaussian_table(model.mean, model.variance) if model.kind == "gaussian" else model
+    quad_value = inc._quad_cumulant(table, lams[lams != 0.0])[0]
     assert np.allclose(got[lams != 0.0], quad_value, rtol=1e-7, atol=1e-7)
     bad = data.draw(hst.sampled_from((np.nan, model.lambda_hi * 1.5 + 1.0,
                                       model.lambda_lo * 1.5 - 1.0)))
@@ -449,7 +472,7 @@ def test_gaussian_sum_tail_is_tail_curve(data):
     # the single-point gaussian tail is the one full-line curve, bit for
     # bit, and that curve is the closed-form normal tail
     model = data.draw(hst.sampled_from(GAUSSIAN_MODELS))
-    m, v = model.params
+    m, v = model.mean, model.variance
     tau = data.draw(hst.integers(1, 400))
     q_top = inc.cumulant(model, model.lambda_hi).mean
     q = data.draw(hst.floats(m, q_top, exclude_min=True, exclude_max=True))
@@ -468,12 +491,7 @@ def test_legendre_inverts_the_tilted_mean(data):
     assert got == pytest.approx(eta, abs=1e-8)
 
 
-def tabulated_gaussian(m, v):
-    g = inc.gaussian(m, v)
-    return m, v, inc.tabulated(g.grid, g.density)
-
-
-TABULATED_GAUSSIANS = (tabulated_gaussian(0.0, 1.0), tabulated_gaussian(0.4, 2.0))
+TABULATED_GAUSSIANS = tuple((m, v, gaussian_table(m, v)) for m, v in ((0.0, 1.0), (0.4, 2.0)))
 
 
 @settings(max_examples=60, deadline=None)
