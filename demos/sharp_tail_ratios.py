@@ -11,7 +11,7 @@ from edgerace import gaussian, legendre, sum_tail, tail_ratio
 MODEL = gaussian(0.0, 1.0)
 Q, X = 0.3, 1.0
 
-eta, rate = legendre(MODEL, Q)
+eta, rate, _ = legendre(MODEL, Q)
 print(f"speed demand q = {Q}: tilt eta = {eta:.3f}, decay rate = {rate:.4f}")
 
 print()

@@ -45,10 +45,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as err:
         print(f"edgerace: config is not valid JSON: {err}", file=sys.stderr)
         return USAGE_ERROR
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.out is not None:
-        data["out"] = args.out
+    if isinstance(data, dict):  # anything else is left for parse_spec to reject
+        if args.seed is not None:
+            data["seed"] = args.seed
+        if args.out is not None:
+            data["out"] = args.out
     try:
         spec = ex.parse_spec(data)
         if spec.out is None:

@@ -38,8 +38,8 @@ class Configuration:
             raise ValueError("positions must be sorted in descending order")
         if not np.isfinite(pos).all():
             raise ValueError("positions must be finite")
-        if self.window_depth < 0:
-            raise ValueError("window depth must be nonnegative")
+        if not self.window_depth >= 0:  # written so that NaN fails too
+            raise ValueError(f"window depth must be nonnegative, got {self.window_depth!r}")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "window_depth", float(self.window_depth))

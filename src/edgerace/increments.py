@@ -6,19 +6,20 @@ tabulated kinds carry a density on a uniform quadrature grid; the uniform has
 closed forms wherever they are exact and reads its support off the grid's
 ends.  On top of each kind sit the cumulant generating function and its
 Legendre transform (each one vectorised function that also takes scalars),
-exponential tilting and i.i.d. sampling.  The log moment Lambda alone comes from
-`log_mgf`; `cumulant` adds the tilted mean and variance, which only the
+exponential tilting and i.i.d. sampling.  Every tilt lies in [0, lambda_hi]:
+the program tilts only toward upper tails.  The log moment Lambda alone comes
+from `log_mgf`; `cumulant` adds the tilted mean and variance, which only the
 tabulated and uniform kinds need quadrature for.
 
 This is the only module that knows how a tail probability is computed, and
 the model's kind picks every formula: the closed-form normal tail for the
-gaussian, Bahadur-Rao sharp-tail terms (built in one place, `_sharp_terms`)
-otherwise.  The queries are the one-step cdf (`step_cdf`), strict
-single-point tau-step tails (`sum_tail`, and `tail_ratio` on it, which sample
-by importance instead when given a stream), full-line curves (`tail_curve`,
-whose gaussian formula `sum_tail` evaluates) and the Chernoff bound on the
-log-tail (`log_tail_bound`).  Those that need `scipy.special` import it when
-they run, not at package import.
+gaussian, otherwise Bahadur-Rao sharp-tail terms built from the tilt, rate
+and curvature that `legendre` returns.  The queries are the one-step cdf
+(`step_cdf`), strict single-point tau-step tails (`sum_tail`, and
+`tail_ratio` on it, which sample by importance instead when given a stream),
+full-line curves (`tail_curve`, whose gaussian formula `sum_tail` evaluates)
+and the Chernoff bound on the log-tail (`log_tail_bound`).  Those that need
+`scipy.special` import it when they run, not at package import.
 
 Every operation is pure; sampling takes an explicit stream key.
 """
@@ -51,6 +52,7 @@ class Cumulant(NamedTuple):
 class Legendre(NamedTuple):
     eta: float | np.ndarray       # tilt solving the mean condition
     rate: float | np.ndarray      # convex conjugate eta*q - Lambda(eta)
+    curvature: float | np.ndarray  # variance of the eta-tilted law
 
 
 class TailProbability(NamedTuple):
@@ -65,7 +67,7 @@ class TailRatio(NamedTuple):
 
 @dataclass(frozen=True)
 class IncrementModel:
-    """Increment law: its kind's data and a declared safe tilt range.
+    """Increment law: its kind's data and a declared safe tilt range [0, lambda_hi].
 
     The gaussian's formulas read only its mean and variance, so it carries no
     table.  The uniform and tabulated kinds carry a density on a grid, which
@@ -77,8 +79,7 @@ class IncrementModel:
     kind: str                    # "gaussian" | "uniform" | "tabulated"
     grid: np.ndarray | None      # uniform, ascending; None for the gaussian
     density: np.ndarray | None   # nonnegative, integrates to 1; None for the gaussian
-    lambda_lo: float             # declared safe range for exponential moments
-    lambda_hi: float
+    lambda_hi: float             # largest safe tilt for exponential moments
     mean: float
     variance: float
 
@@ -148,8 +149,8 @@ def _compact_cap(lo: float, hi: float) -> float:
     return _COMPACT_EXPONENT_CAP / max(span, 1e-12)
 
 
-def _safe_lambda_bounds(grid: np.ndarray, density: np.ndarray) -> tuple[float, float]:
-    """Largest tilt range the grid supports without hidden truncation.
+def _safe_lambda_hi(grid: np.ndarray, density: np.ndarray) -> float:
+    """Largest tilt the grid supports without hidden truncation.
 
     Densities that vanish toward the grid edges are clipped where the tilted
     integrand's mass in the outer cells exceeds GRID_CLIP_MASS of the total.
@@ -167,7 +168,7 @@ def _safe_lambda_bounds(grid: np.ndarray, density: np.ndarray) -> tuple[float, f
 
     peak = float(density.max())
     if density[0] > 1e-12 * peak or density[-1] > 1e-12 * peak:
-        return -cap, cap
+        return cap
 
     def edge_share(lam: float) -> float:
         t = lam * grid + logd + logw
@@ -175,20 +176,16 @@ def _safe_lambda_bounds(grid: np.ndarray, density: np.ndarray) -> tuple[float, f
         outer = logsumexp(np.concatenate([t[:edge], t[-edge:]]))
         return float(np.exp(outer - total))
 
-    def bound(sign: float) -> float:
-        lam, hi = 0.0, sign * cap
-        if edge_share(hi) < GRID_CLIP_MASS:
-            return hi
-        lo_m, hi_m = 0.0, abs(hi)
-        for _ in range(80):
-            mid = 0.5 * (lo_m + hi_m)
-            if edge_share(sign * mid) < GRID_CLIP_MASS:
-                lo_m = mid
-            else:
-                hi_m = mid
-        return sign * lo_m
-
-    return bound(-1.0), bound(+1.0)
+    if edge_share(cap) < GRID_CLIP_MASS:
+        return cap
+    lo_m, hi_m = 0.0, cap
+    for _ in range(80):
+        mid = 0.5 * (lo_m + hi_m)
+        if edge_share(mid) < GRID_CLIP_MASS:
+            lo_m = mid
+        else:
+            hi_m = mid
+    return lo_m
 
 
 def gaussian(mean: float, variance: float) -> IncrementModel:
@@ -201,7 +198,7 @@ def gaussian(mean: float, variance: float) -> IncrementModel:
     # the tilted mean at lam is q_max = mean + 5.5 sd, the largest per-step
     # target that legendre, sum_tail, extract_laplace and convolution_shift accept
     lam = 5.5 * sd / variance
-    return IncrementModel("gaussian", None, None, -lam, lam, float(mean), float(variance))
+    return IncrementModel("gaussian", None, None, lam, float(mean), float(variance))
 
 
 def uniform(lo: float, hi: float, *, grid_points: int = 2001) -> IncrementModel:
@@ -212,9 +209,8 @@ def uniform(lo: float, hi: float, *, grid_points: int = 2001) -> IncrementModel:
         raise ValueError(f"uniform needs lo < hi, got lo={lo!r}, hi={hi!r}")
     grid = np.linspace(lo, hi, grid_points)
     density = np.full(grid_points, 1.0 / (hi - lo))
-    cap = _compact_cap(lo, hi)
     # linspace sets both ends exactly, so the grid carries the support
-    return IncrementModel("uniform", grid, density, -cap, cap,
+    return IncrementModel("uniform", grid, density, _compact_cap(lo, hi),
                           0.5 * (lo + hi), (hi - lo) ** 2 / 12.0)
 
 
@@ -223,17 +219,16 @@ def tabulated(grid: Sequence[float], density: Sequence[float]) -> IncrementModel
     w = _quad_weights(grid)
     mean = float(np.dot(w, grid * density))
     var = float(np.dot(w, (grid - mean) ** 2 * density))
-    lam_lo, lam_hi = _safe_lambda_bounds(grid, density)
-    return IncrementModel("tabulated", grid, density, lam_lo, lam_hi, mean, var)
+    return IncrementModel("tabulated", grid, density, _safe_lambda_hi(grid, density), mean, var)
 
 
 def _check_lambda(model: IncrementModel, lam: np.ndarray | float) -> None:
     lam = np.asarray(lam)
-    bad = ~((model.lambda_lo <= lam) & (lam <= model.lambda_hi))  # NaN is bad too
+    bad = ~((0.0 <= lam) & (lam <= model.lambda_hi))  # NaN is bad too
     if np.any(bad):
         raise ValueError(
             f"lambda={float(lam[bad].flat[0])} outside the declared safe range "
-            f"[{model.lambda_lo:.6g}, {model.lambda_hi:.6g}] of the {model.kind} model"
+            f"[0, lambda_hi] = [0, {model.lambda_hi:.6g}] of the {model.kind} model"
         )
 
 
@@ -315,12 +310,13 @@ def cumulant(model: IncrementModel, lam: np.ndarray | float) -> Cumulant:
 
 
 def legendre(model: IncrementModel, q: np.ndarray | float) -> Legendre:
-    """Tilt eta with tilted mean q, and the convex conjugate at q, for a scalar or array q.
+    """Tilt eta with tilted mean q, the convex conjugate at q and the tilted
+    variance at eta (the curvature of the sharp tail), for a scalar or array q.
 
     Every q must be attainable: model.mean <= q < the tilted mean at the top
-    of the safe range.  q equal to the untilted mean returns (0, 0).  The
-    gaussian tilt is closed form; other kinds interpolate a 512-point table of
-    tilted means and polish with Newton steps.
+    of the safe range.  q equal to the untilted mean returns (0, 0,
+    model.variance).  The gaussian tilt is closed form; other kinds
+    interpolate a 512-point table of tilted means and polish with Newton steps.
     """
     q_in = np.asarray(q, dtype=float)
     qs = q_in.ravel()
@@ -342,16 +338,16 @@ def legendre(model: IncrementModel, q: np.ndarray | float) -> Legendre:
     if np.any(above):
         raise ValueError(f"target mean {qs[above][0]} not attainable within the safe "
                          f"tilt range (max {model.q_max:.6g})")
+    eta = np.where(at_mean, 0.0, eta)  # cumulant at 0 is exactly (0, mean, variance)
     c = cumulant(model, eta)
     residual = np.where(at_mean, 0.0, np.abs(c.mean - qs))
     if np.any(residual > LEGENDRE_RESIDUAL):
         raise ArithmeticError(f"tilted-mean equation residual {residual.max()} "
                               f"exceeds {LEGENDRE_RESIDUAL}")
-    eta = np.where(at_mean, 0.0, eta)
-    rate = np.where(at_mean, 0.0, eta * qs - c.value)
+    parts = (eta, np.where(at_mean, 0.0, eta * qs - c.value), c.variance)
     if q_in.ndim == 0:
-        return Legendre(float(eta[0]), float(rate[0]))
-    return Legendre(eta.reshape(q_in.shape), rate.reshape(q_in.shape))
+        return Legendre(*(float(a[0]) for a in parts))
+    return Legendre(*(a.reshape(q_in.shape) for a in parts))
 
 
 def front_velocity(model: IncrementModel, s: float) -> float:
@@ -409,20 +405,6 @@ def step_cdf(model: IncrementModel, t: np.ndarray | float) -> np.ndarray:
     return 1.0 - np.minimum(np.interp(t, model.grid, right, left=right[0], right=0.0), 1.0)
 
 
-def _sharp_terms(model: IncrementModel, tau: int, q: np.ndarray | float,
-                 margin: float) -> tuple:
-    """Bahadur-Rao sharp-tail terms at per-step targets q.
-
-    q is first clipped into [mean, q_max - margin].  Returns the clipped q,
-    the tilt eta, the Legendre rate, the tilted variance (curvature) at eta,
-    and psi = eta * sqrt(tau * curvature).
-    """
-    qs = np.clip(q, model.mean, model.q_max - margin)
-    eta, rate = legendre(model, qs)
-    curv = cumulant(model, eta).variance
-    return qs, eta, rate, curv, eta * np.sqrt(tau * curv)
-
-
 def _mc_importance(model: IncrementModel, tau: int, y: float, eta: float, n: int,
                    stream: StreamKey) -> tuple[float, float]:
     """Unbiased importance-sampling estimate under the eta-tilted walk.
@@ -471,8 +453,8 @@ def sum_tail(model: IncrementModel, tau: int, y: float, *, mc_samples: int | Non
     q = y / tau
     if q <= model.mean:
         raise ValueError(f"per-step target {q} at or below the mean {model.mean}; query rejected")
-    # a zero margin leaves q unclipped below q_max and lets legendre reject the rest
-    _, eta, rate, curv, _ = _sharp_terms(model, tau, q, 0.0)
+    # clipped at q_max itself: q below it is left as is, and legendre rejects the rest
+    eta, rate, curv = legendre(model, np.clip(q, model.mean, model.q_max))
     if mc_stream is not None:
         if mc_samples is None or mc_samples < 2:
             raise ValueError(f"importance sampling needs mc_samples >= 2, got {mc_samples!r}")
@@ -495,7 +477,7 @@ def tail_ratio(model: IncrementModel, tau: int, q: float, x: float, *,
     if abs(x) > window:
         raise ValueError(f"|x|={abs(x)} outside the polynomial window "
                          f"tau^{RATIO_WINDOW_EXPONENT}={window:.4g}")
-    eta, _ = legendre(model, q)
+    eta = legendre(model, q).eta
     prediction = float(np.exp(-eta * x))
 
     def tail(y: float, part: int) -> float:
@@ -541,7 +523,8 @@ def tail_curve(model: IncrementModel, tau: int) -> Callable[[np.ndarray], np.nda
         out = ndtr(-x)
         upper = q > model.mean
         if np.any(upper):
-            _, eta, rate, curv, psi = _sharp_terms(model, tau, q[upper], 1e-9)
+            eta, rate, curv = legendre(model, np.clip(q[upper], model.mean, model.q_max - 1e-9))
+            psi = eta * np.sqrt(tau * curv)  # eta times the tilted sd of S_tau
             with np.errstate(divide="ignore", over="ignore"):
                 log_sharp = (-tau * rate
                              - np.log(np.maximum(eta, 1e-300))
@@ -573,8 +556,8 @@ def log_tail_bound(model: IncrementModel, tau: int, t: np.ndarray) -> np.ndarray
     q = t / tau
     mid = (q > model.mean) & (t < sup)
     if np.any(mid):
-        qs, _, rate, _, _ = _sharp_terms(model, tau, q[mid], 1e-12)
-        chernoff = -tau * rate
+        qs = np.clip(q[mid], model.mean, model.q_max - 1e-12)
+        chernoff = -tau * legendre(model, qs).rate
         # past the clip point, keep the boundary-tilt Chernoff line
         beyond = q[mid] > qs
         if np.any(beyond):

@@ -109,13 +109,15 @@ def point_mass(u: float, w: float = 1.0) -> LaplaceMeasure:
 
 
 def log_transform(rho: LaplaceMeasure, x: np.ndarray | float) -> np.ndarray | float:
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    t = logsumexp(rho.log_w[None, :] - np.outer(xs, rho.u), axis=1)
-    return t if np.ndim(x) else float(t[0])
+    """log R(x), a float for a scalar x and an array of x's shape otherwise."""
+    xs = np.asarray(x, dtype=float)
+    t = logsumexp(rho.log_w[None, :] - np.outer(xs, rho.u), axis=1)  # outer ravels xs
+    return t.reshape(xs.shape) if xs.ndim else float(t[0])
 
 
 def transform(rho: LaplaceMeasure, x: np.ndarray | float) -> np.ndarray | float:
-    """R(x) = sum_i w_i e^{-x u_i}; evaluated through logs to dodge overflow."""
+    """R(x) = sum_i w_i e^{-x u_i}, in the shape of x; evaluated through logs to
+    dodge overflow."""
     out = np.exp(log_transform(rho, x))
     return out if np.ndim(x) else float(out)
 
@@ -174,11 +176,11 @@ class TailIntensity:
     offset: float = 0.0
 
     def inverse(self, t: np.ndarray | float) -> np.ndarray | float:
-        """Level crossing F^{-1}(t) = inf{x : F(x) <= t}.
+        """Level crossing F^{-1}(t) = inf{x : F(x) <= t}, in the shape of t.
 
         One atom has a closed form.  Several atoms bracket every level without
         evaluating the transform (`_bracket`) and refine the bracket by
-        safeguarded Newton on log R (`_inverse_newton`).
+        safeguarded Newton on log R (`_inverse_newton`), on the raveled levels.
         """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if (ts <= 0).any():
@@ -191,8 +193,9 @@ class TailIntensity:
             out /= rho.u[0]
             np.subtract(self.offset, out, out=out)
         else:
-            logt = np.log(ts)
+            logt = np.log(ts.ravel())
             out = self._inverse_newton(logt, *self._bracket(logt)) + self.offset
+            out = out.reshape(ts.shape)
         return out if np.ndim(t) else float(out[0])
 
     def _bracket(self, logt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

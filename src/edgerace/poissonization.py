@@ -265,7 +265,7 @@ def extract_laplace(config: Configuration, model: inc.IncrementModel,
                          f"(z - x1)/tau = {qs[0]:.6g} at tau {tau} is not inside "
                          f"(mean {model.mean:.6g}, q_max {model.q_max:.6g})")
     attainable = int(np.count_nonzero(qs < model.q_max))
-    eta, _ = inc.legendre(model, qs[:attainable])
+    eta = inc.legendre(model, qs[:attainable]).eta
     w = tail_curve(model, tau)(z - config.positions[:attainable])
     u_mean = float(np.dot(eta, w) / w.sum())
     target_eta = min(10.0 * u_mean, model.lambda_hi)

@@ -42,7 +42,7 @@ def test_configuration_checks_match_diff_predicates(data):
                       | hst.floats())
     with np.errstate(invalid="ignore", over="ignore"):
         rejected = (np.any(np.diff(pos) > 0) or not np.all(np.isfinite(pos))
-                    or depth < 0)
+                    or not depth >= 0)  # a NaN depth is rejected too
     if rejected:
         with pytest.raises(ValueError):
             cf.Configuration(pos.copy(), depth)
@@ -71,6 +71,12 @@ def test_instance_freezes_a_view_not_the_callers_array(build, arrays, fields):
         a[0] = -1.0  # the caller may still write to its own array
         with pytest.raises(ValueError, match="read-only"):
             held[0] = -1.0
+
+
+def test_configuration_rejects_a_nan_window_depth():
+    # evolve would read a NaN depth as an infinite window and keep every particle
+    with pytest.raises(ValueError, match="window depth must be nonnegative, got nan"):
+        cf.Configuration([0.0, -1.0], math.nan)
 
 
 def test_gaps_values():

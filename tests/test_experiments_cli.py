@@ -477,6 +477,20 @@ def test_cli_bad_json(tmp_path):
     assert cli.main(["run", str(config), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("override", [["--out", "o"], ["--seed", "5"]], ids=["out", "seed"])
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3", "null"])
+def test_cli_config_that_is_not_an_object_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                         text, override):
+    # the overrides apply to an object only, so parse_spec names the fault
+    config = tmp_path / "c.json"
+    config.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", str(config), *override]) == 2
+    err = capsys.readouterr().err
+    assert err == "edgerace: configuration must be a JSON object\n"
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 def test_cli_missing_file(tmp_path):
     assert cli.main(["run", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -82,16 +83,40 @@ def test_cumulant_rejects_out_of_range(std_gaussian):
         inc.cumulant(std_gaussian, std_gaussian.lambda_hi * 1.5)
 
 
+@pytest.mark.parametrize("lam", [-5e-324, -0.5, -np.inf])
+def test_negative_tilts_are_rejected(std_gaussian, unit_uniform, table_model, lam):
+    # every tilt the program takes is nonnegative, so the safe range starts at 0
+    for model in (std_gaussian, unit_uniform, table_model):
+        named = re.escape(f"[0, lambda_hi] = [0, {model.lambda_hi:.6g}]")
+        for fn, arg in ((inc.log_mgf, lam), (inc.log_mgf, np.array([0.5, lam])),
+                        (inc.cumulant, lam), (inc.cumulant, np.array([0.5, lam])),
+                        (inc.tilt, lam)):
+            with pytest.raises(ValueError, match=named):
+                fn(model, arg)
+
+
 def test_legendre_gaussian(std_gaussian):
-    eta, rate = inc.legendre(std_gaussian, 0.3)
+    eta, rate, curvature = inc.legendre(std_gaussian, 0.3)
     assert eta == pytest.approx(0.3, abs=1e-12)
     assert rate == pytest.approx(0.045, abs=1e-12)
+    assert curvature == 1.0
 
 
 def test_legendre_at_the_mean(std_gaussian, unit_uniform):
     for model in (std_gaussian, unit_uniform):
-        eta, rate = inc.legendre(model, model.mean)
-        assert eta == 0.0 and rate == 0.0
+        eta, rate, curvature = inc.legendre(model, model.mean)
+        assert eta == 0.0 and rate == 0.0 and curvature == model.variance
+
+
+def test_legendre_curvature_is_the_tilted_variance(std_gaussian, unit_uniform, table_model):
+    # the sharp tail reads its curvature off legendre; it is the tilted
+    # variance at eta bit for bit, and the model's own variance at the mean
+    for model in (std_gaussian, inc.gaussian(-1.0, 4.0), unit_uniform, inc.uniform(-1.0, 2.0),
+                  table_model):
+        qs = model.mean + np.linspace(0.0, 0.95, 9) * (model.q_max - model.mean)
+        got = inc.legendre(model, qs)
+        assert_bitwise(got.curvature, inc.cumulant(model, got.eta).variance)
+        assert got.curvature[0] == model.variance
 
 
 def test_legendre_uniform_against_closed_form_root(unit_uniform):
@@ -99,7 +124,7 @@ def test_legendre_uniform_against_closed_form_root(unit_uniform):
     f = lambda e: (np.exp(e) * (e - 1) + 1) / (e * (np.exp(e) - 1)) - 0.7
     oracle = brentq(f, 1e-6, 20.0, xtol=1e-14)
     assert oracle == pytest.approx(2.672103855273385, abs=1e-12)
-    eta, rate = inc.legendre(unit_uniform, 0.7)
+    eta, rate, _ = inc.legendre(unit_uniform, 0.7)
     assert eta == pytest.approx(oracle, abs=1e-8)
     assert rate == pytest.approx(0.2528455630041859, abs=1e-8)
 
@@ -144,11 +169,17 @@ def test_tilt_uniform_direct_normalization(unit_uniform):
     np.testing.assert_allclose(tilted.density, expected, atol=1e-8)
 
 
-@pytest.mark.parametrize("s", [0.6, -0.9])
+@pytest.mark.parametrize("s", [0.6, 0.9])
 def test_tilt_round_trip(unit_uniform, table_model, s):
     for model in (unit_uniform, table_model):
-        back = inc.tilt(inc.tilt(model, s), -s)
-        np.testing.assert_allclose(back.density, model.density, atol=1e-8)
+        tilted = inc.tilt(model, s)
+        # untilting by e^{-s h}, normalized by quadrature, gives the model back
+        back = tilted.density * np.exp(-s * tilted.grid)
+        np.testing.assert_allclose(back / inc._integrate(tilted.grid, back), model.density,
+                                   atol=1e-8)
+        # and two tilts by s are one tilt by 2s
+        np.testing.assert_allclose(inc.tilt(tilted, s).density, inc.tilt(model, 2 * s).density,
+                                   atol=1e-8)
 
 
 def test_sample_empty_and_deterministic(std_gaussian):
@@ -191,14 +222,16 @@ def test_sum_tail_rejects_below_mean(std_gaussian, unit_uniform):
             inc.sum_tail(model, 100, y)
 
 
-def test_sharp_terms_psi_positive(std_gaussian):
-    _, eta, _, _, psi = inc._sharp_terms(std_gaussian, 50, 0.2, 0.0)
-    assert eta > 0 and psi > 0
+def test_sharp_terms_psi_positive(std_gaussian, unit_uniform):
+    # psi = eta sqrt(tau curvature), the Bahadur-Rao scale, from one legendre call
+    for model, q in ((std_gaussian, 0.2), (unit_uniform, 0.7)):
+        eta, _, curvature = inc.legendre(model, q)
+        assert eta > 0 and curvature > 0 and eta * math.sqrt(50 * curvature) > 0
 
 
 def test_sum_tail_br_matches_its_formula(unit_uniform):
     # a non-gaussian model gets the Bahadur-Rao sharp tail
-    eta, rate = inc.legendre(unit_uniform, 8.0 / 12)
+    eta, rate, _ = inc.legendre(unit_uniform, 8.0 / 12)
     curv = inc.cumulant(unit_uniform, eta).variance
     expected = math.exp(-12 * rate) / (eta * math.sqrt(2 * math.pi * 12 * curv))
     got = inc.sum_tail(unit_uniform, 12, 8.0)
@@ -286,7 +319,7 @@ def test_tail_ratio_discrepancy_shrinks_with_tau(std_gaussian):
 def test_cumulant_convexity_on_random_tilts(std_gaussian, unit_uniform, table_model):
     rng = np.random.default_rng(3)
     for model in (std_gaussian, unit_uniform, table_model):
-        lams = rng.uniform(model.lambda_lo, model.lambda_hi, size=12)
+        lams = rng.uniform(0.0, model.lambda_hi, size=12)
         for lam in lams:
             assert inc.cumulant(model, lam).variance >= -1e-8
 
@@ -297,8 +330,7 @@ def test_legendre_round_trip(std_gaussian, unit_uniform, table_model):
         hi = min(model.lambda_hi, 5.0)
         for eta0 in rng.uniform(0.05, 0.8 * hi, size=6):
             q = inc.cumulant(model, eta0).mean
-            eta, _ = inc.legendre(model, q)
-            assert abs(eta - eta0) < 1e-8
+            assert abs(inc.legendre(model, q).eta - eta0) < 1e-8
 
 
 def test_tabulated_density_validation():
@@ -349,7 +381,7 @@ def draw_array(data, lo, hi, *special):
 @given(hst.data())
 def test_cumulant_array_equals_scalar_calls(data):
     model = data.draw(hst.sampled_from(PROPERTY_MODELS))
-    lams = draw_array(data, model.lambda_lo, model.lambda_hi, 0.0, model.lambda_hi)
+    lams = draw_array(data, 0.0, model.lambda_hi, model.lambda_hi)
     got = inc.cumulant(model, lams)
     for field in inc.Cumulant._fields:
         one_by_one = [getattr(inc.cumulant(model, float(lam)), field) for lam in lams]
@@ -361,12 +393,12 @@ def test_quadrature_rows_equal_scalar_calls_across_blocks(unit_uniform, table_mo
     # 150 tilts span three row blocks of a 2001-point grid and four of 3201
     # points; each row is reduced on its own, so no block boundary moves a bit
     for model in (unit_uniform, table_model):
-        lams = np.linspace(model.lambda_lo, model.lambda_hi, 150)
+        lams = np.linspace(0.0, model.lambda_hi, 150)
         got = inc.cumulant(model, lams)
         for field in inc.Cumulant._fields:
             assert_bitwise(getattr(got, field),
                            [getattr(inc.cumulant(model, float(lam)), field) for lam in lams])
-    lams = np.linspace(table_model.lambda_lo, table_model.lambda_hi, 150)
+    lams = np.linspace(0.0, table_model.lambda_hi, 150)
     assert_bitwise(inc.log_mgf(table_model, lams),
                    [inc.log_mgf(table_model, float(lam)) for lam in lams])
 
@@ -374,8 +406,8 @@ def test_quadrature_rows_equal_scalar_calls_across_blocks(unit_uniform, table_mo
 def test_quadrature_memory_is_flat(unit_uniform, table_model):
     # one (tilt, grid) array of 4000 tilts takes 64 MB on the uniform's 2001
     # points and 102 MB on the table's 3201; the quadrature holds a row block
-    lams = np.linspace(unit_uniform.lambda_lo, unit_uniform.lambda_hi, 4000)
-    table_lams = np.linspace(table_model.lambda_lo, table_model.lambda_hi, 4000)
+    lams = np.linspace(0.0, unit_uniform.lambda_hi, 4000)
+    table_lams = np.linspace(0.0, table_model.lambda_hi, 4000)
     inc.cumulant(unit_uniform, lams[:2])
     inc.log_mgf(table_model, table_lams[:2])
     tracemalloc.start()
@@ -441,7 +473,7 @@ def test_log_mgf_is_the_cumulant_value(data):
     # the log moment alone, bit for bit what cumulant reports, exactly 0 at
     # lam = 0, and within quadrature error of the tilted-density integral
     model = draw_model(data)
-    lams = draw_array(data, model.lambda_lo, model.lambda_hi, 0.0, model.lambda_hi)
+    lams = draw_array(data, 0.0, model.lambda_hi, model.lambda_hi)
     got = inc.log_mgf(model, lams)
     assert_bitwise(got, inc.cumulant(model, lams).value)
     assert_bitwise(got, [inc.log_mgf(model, float(lam)) for lam in lams])
@@ -453,8 +485,8 @@ def test_log_mgf_is_the_cumulant_value(data):
     table = gaussian_table(model.mean, model.variance) if model.kind == "gaussian" else model
     quad_value = inc._quad_cumulant(table, lams[lams != 0.0])[0]
     assert np.allclose(got[lams != 0.0], quad_value, rtol=1e-7, atol=1e-7)
-    bad = data.draw(hst.sampled_from((np.nan, model.lambda_hi * 1.5 + 1.0,
-                                      model.lambda_lo * 1.5 - 1.0)))
+    bad = data.draw(hst.sampled_from((np.nan, model.lambda_hi * 1.5 + 1.0, -5e-324,
+                                      -model.lambda_hi * 1.5 - 1.0)))
     for tilts in (bad, np.append(lams, bad)):
         with pytest.raises(ValueError) as ours:
             inc.log_mgf(model, tilts)
