@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laplace import TailIntensity, exponential_intensity
+from .numerics import frozen
 from .streams import StreamKey, generator
 
 
@@ -31,7 +32,7 @@ class Configuration:
     window_depth: float
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float).view()
+        pos = frozen(self.positions)
         if pos.ndim != 1 or pos.size == 0:
             raise ValueError("a configuration needs at least one particle")
         if (pos[1:] > pos[:-1]).any():
@@ -40,7 +41,6 @@ class Configuration:
             raise ValueError("positions must be finite")
         if not self.window_depth >= 0:  # written so that NaN fails too
             raise ValueError(f"window depth must be nonnegative, got {self.window_depth!r}")
-        pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "window_depth", float(self.window_depth))
 

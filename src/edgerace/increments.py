@@ -16,9 +16,10 @@ the model's kind picks every formula: the closed-form normal tail for the
 gaussian, otherwise Bahadur-Rao sharp-tail terms built from the tilt, rate
 and curvature that `legendre` returns.  The queries are the one-step cdf
 (`step_cdf`), strict single-point tau-step tails (`sum_tail`, and
-`tail_ratio` on it, which sample by importance instead when given a stream),
-full-line curves (`tail_curve`, whose gaussian formula `sum_tail` evaluates)
-and the Chernoff bound on the log-tail (`log_tail_bound`).  Those that need
+`tail_ratio`, which divides formula tails through their logs, or samples by
+importance when given a stream), full-line curves (`tail_curve`, whose
+gaussian formula `sum_tail` evaluates) and the Chernoff bound on the
+log-tail (`log_tail_bound`).  Those that need
 `scipy.special` import it when they run, not at package import.
 
 Every operation is pure; sampling takes an explicit stream key.
@@ -32,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import logsumexp, row_blocks
+from .numerics import frozen, like, logsumexp, row_blocks
 from .streams import StreamKey, generator, substream
 
 DENSITY_TOL = 1e-8        # density must integrate to 1 within this
@@ -96,8 +97,6 @@ class IncrementModel:
         total = _integrate(g, d)
         if not abs(total - 1.0) <= DENSITY_TOL:
             raise ValueError(f"density integrates to {total!r}, not 1 within {DENSITY_TOL}")
-        g.setflags(write=False)
-        d.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "density", d)
 
@@ -114,7 +113,7 @@ class IncrementModel:
 
 
 def _table(grid: Sequence[float], density: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    g, d = np.asarray(grid, dtype=float).view(), np.asarray(density, dtype=float).view()
+    g, d = frozen(grid), frozen(density)
     if g.ndim != 1 or g.size < 5 or d.shape != g.shape:
         raise ValueError("grid and density must be matching 1-d arrays of at least 5 points")
     return g, d
@@ -280,10 +279,7 @@ def log_mgf(model: IncrementModel, lam: np.ndarray | float) -> float | np.ndarra
         value = np.empty(flat.size)
         for rows in row_blocks(flat.size, model.grid.size):
             value[rows] = logsumexp(_tilted_log_mass(model, flat[rows]), axis=1)
-    value = np.where(flat == 0.0, 0.0, value)
-    if lams.ndim == 0:
-        return float(value[0])
-    return value.reshape(lams.shape)
+    return like(lams, np.where(flat == 0.0, 0.0, value))
 
 
 def cumulant(model: IncrementModel, lam: np.ndarray | float) -> Cumulant:
@@ -304,9 +300,7 @@ def cumulant(model: IncrementModel, lam: np.ndarray | float) -> Cumulant:
         _, mean, var = _quad_cumulant(model, flat)
     zero = flat == 0.0
     parts = (value, np.where(zero, model.mean, mean), np.where(zero, model.variance, var))
-    if lams.ndim == 0:
-        return Cumulant(*(float(a[0]) for a in parts))
-    return Cumulant(*(a.reshape(lams.shape) for a in parts))
+    return Cumulant(*(like(lams, a) for a in parts))
 
 
 def legendre(model: IncrementModel, q: np.ndarray | float) -> Legendre:
@@ -345,9 +339,7 @@ def legendre(model: IncrementModel, q: np.ndarray | float) -> Legendre:
         raise ArithmeticError(f"tilted-mean equation residual {residual.max()} "
                               f"exceeds {LEGENDRE_RESIDUAL}")
     parts = (eta, np.where(at_mean, 0.0, eta * qs - c.value), c.variance)
-    if q_in.ndim == 0:
-        return Legendre(*(float(a[0]) for a in parts))
-    return Legendre(*(a.reshape(q_in.shape) for a in parts))
+    return Legendre(*(like(q_in, a) for a in parts))
 
 
 def front_velocity(model: IncrementModel, s: float) -> float:
@@ -358,14 +350,15 @@ def front_velocity(model: IncrementModel, s: float) -> float:
 
 
 def tilt(model: IncrementModel, s: float) -> IncrementModel:
-    """Exponentially tilted model with density e^{s h} g(h) / e^{Lambda(s)}."""
+    """Exponentially tilted model with density e^{s h} g(h) / e^{Lambda(s)}; a table
+    is divided by its tilted quadrature mass, the integral `IncrementModel` checks."""
     s = float(s)
     _check_lambda(model, s)
     if s == 0.0:
         return model
     if model.kind == "gaussian":
         return gaussian(model.mean + model.variance * s, model.variance)
-    log_norm = log_mgf(model, s)
+    log_norm = logsumexp(_tilted_log_mass(model, np.array([s])), axis=1)[0]
     density = np.exp(s * model.grid + _log_density(model) - log_norm)
     return tabulated(model.grid, density)
 
@@ -391,18 +384,20 @@ def sample(model: IncrementModel, n: int, stream: StreamKey) -> np.ndarray:
     return np.interp(rng.random(n), cdf, model.grid)
 
 
-def step_cdf(model: IncrementModel, t: np.ndarray | float) -> np.ndarray:
+def step_cdf(model: IncrementModel, t: np.ndarray | float) -> np.ndarray | float:
     """One-step cdf at t: the normal cdf for a gaussian, else one minus P(h >= t)."""
     t = np.asarray(t, dtype=float)
     if model.kind == "gaussian":
         from scipy.special import ndtr  # here, so importing the package skips scipy
-        return ndtr((t - model.mean) / np.sqrt(model.variance))
-    if model.kind == "uniform":
+        out = ndtr((t - model.mean) / np.sqrt(model.variance))
+    elif model.kind == "uniform":
         lo, hi = model.grid[0], model.grid[-1]
-        return 1.0 - np.clip((hi - t) / (hi - lo), 0.0, 1.0)
-    seg = _cell_masses(model)
-    right = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-    return 1.0 - np.minimum(np.interp(t, model.grid, right, left=right[0], right=0.0), 1.0)
+        out = 1.0 - np.clip((hi - t) / (hi - lo), 0.0, 1.0)
+    else:
+        seg = _cell_masses(model)
+        right = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+        out = 1.0 - np.minimum(np.interp(t, model.grid, right, left=right[0], right=0.0), 1.0)
+    return like(t, out)
 
 
 def _mc_importance(model: IncrementModel, tau: int, y: float, eta: float, n: int,
@@ -446,6 +441,18 @@ def sum_tail(model: IncrementModel, tau: int, y: float, *, mc_samples: int | Non
     least 2, for its standard error) draws.  Rejects per-step targets y/tau
     outside (mean, q_max) either way.
     """
+    tau, y, (eta, rate, curv) = _tail_target(model, tau, y)
+    if mc_stream is not None:
+        if mc_samples is None or mc_samples < 2:
+            raise ValueError(f"importance sampling needs mc_samples >= 2, got {mc_samples!r}")
+        return TailProbability(*_mc_importance(model, tau, y, eta, int(mc_samples), mc_stream))
+    if model.kind == "gaussian":
+        return TailProbability(float(tail_curve(model, tau)(y)), None)
+    return TailProbability(float(np.exp(_log_sharp_tail(tau, eta, rate, curv))), None)
+
+
+def _tail_target(model: IncrementModel, tau: int, y: float) -> tuple[int, float, Legendre]:
+    """Checked tau and y of a single-point tail, with the Legendre terms at y / tau."""
     tau = int(tau)
     if tau < 1:
         raise ValueError("tau must be >= 1")
@@ -454,24 +461,29 @@ def sum_tail(model: IncrementModel, tau: int, y: float, *, mc_samples: int | Non
     if q <= model.mean:
         raise ValueError(f"per-step target {q} at or below the mean {model.mean}; query rejected")
     # clipped at q_max itself: q below it is left as is, and legendre rejects the rest
-    eta, rate, curv = legendre(model, np.clip(q, model.mean, model.q_max))
-    if mc_stream is not None:
-        if mc_samples is None or mc_samples < 2:
-            raise ValueError(f"importance sampling needs mc_samples >= 2, got {mc_samples!r}")
-        return TailProbability(*_mc_importance(model, tau, y, eta, int(mc_samples), mc_stream))
-    if model.kind == "gaussian":
-        return TailProbability(float(tail_curve(model, tau)(y)), None)
-    value = np.exp(-tau * rate) / (eta * np.sqrt(2 * np.pi * tau * curv))
-    return TailProbability(float(value), None)
+    return tau, y, legendre(model, np.clip(q, model.mean, model.q_max))
+
+
+def _log_sharp_tail(tau: int, eta: np.ndarray | float, rate: np.ndarray | float,
+                    curvature: np.ndarray | float) -> np.ndarray | float:
+    """log of the Bahadur-Rao tail e^{-tau rate} / (eta sqrt(2 pi tau curvature)),
+    with eta and curvature floored at 1e-300."""
+    return (-tau * rate
+            - np.log(np.maximum(eta, 1e-300))
+            - 0.5 * np.log(2 * np.pi * tau * np.maximum(curvature, 1e-300)))
 
 
 def tail_ratio(model: IncrementModel, tau: int, q: float, x: float, *,
                mc_samples: int | None = None, mc_stream: StreamKey | None = None) -> TailRatio:
     """Shifted-threshold tail ratio against its exponential prediction.
 
-    Returns P(S_tau >= q tau + x) / P(S_tau >= q tau), both tails taken by
-    `sum_tail` with the same arguments, alongside the prediction e^{-eta(q) x}.
-    The shift must lie in the polynomial window |x| <= tau^RATIO_WINDOW_EXPONENT.
+    Returns P(S_tau >= q tau + x) / P(S_tau >= q tau) alongside the
+    prediction e^{-eta(q) x}.  Without a stream the ratio is the exponential
+    of the difference of the log tails of `sum_tail`'s formula, so tails that
+    underflow to 0.0 still give one; with `mc_stream` it is the quotient of
+    two `sum_tail` importance-sampling estimates, and ArithmeticError if the
+    denominator is 0.0.  The shift must lie in the polynomial window
+    |x| <= tau^RATIO_WINDOW_EXPONENT.
     """
     window = tau ** RATIO_WINDOW_EXPONENT
     if abs(x) > window:
@@ -481,12 +493,22 @@ def tail_ratio(model: IncrementModel, tau: int, q: float, x: float, *,
     prediction = float(np.exp(-eta * x))
 
     def tail(y: float, part: int) -> float:
-        stream = None if mc_stream is None else substream(mc_stream, part)
-        return sum_tail(model, tau, y, mc_samples=mc_samples, mc_stream=stream).value
+        if mc_stream is not None:
+            return sum_tail(model, tau, y, mc_samples=mc_samples,
+                            mc_stream=substream(mc_stream, part)).value
+        # the log of sum_tail's formula, finite where the tail underflows
+        _, y, terms = _tail_target(model, tau, y)
+        if model.kind == "gaussian":
+            return log_tail_bound(model, tau, y)  # the exact normal log tail
+        return float(_log_sharp_tail(tau, *terms))
 
     denom = tail(q * tau, 0)
     if x == 0.0:
         return TailRatio(1.0, 1.0)
+    if mc_stream is None:
+        return TailRatio(float(np.exp(tail(q * tau + x, 1) - denom)), prediction)
+    if denom == 0.0:
+        raise ArithmeticError(f"importance-sampling tail at tau {tau}, y {q * tau} underflows to 0")
     return TailRatio(tail(q * tau + x, 1) / denom, prediction)
 
 
@@ -510,7 +532,7 @@ def tail_curve(model: IncrementModel, tau: int) -> Callable[[np.ndarray], np.nda
 
         def curve_exact(y: np.ndarray) -> np.ndarray:
             # upper normal tail via ndtr of the negated argument (fast path)
-            return ndtr((tau * m - np.asarray(y, dtype=float)) / scale)
+            return like(y, ndtr((tau * m - np.asarray(y, dtype=float)) / scale))
 
         return curve_exact
 
@@ -526,20 +548,18 @@ def tail_curve(model: IncrementModel, tau: int) -> Callable[[np.ndarray], np.nda
             eta, rate, curv = legendre(model, np.clip(q[upper], model.mean, model.q_max - 1e-9))
             psi = eta * np.sqrt(tau * curv)  # eta times the tilted sd of S_tau
             with np.errstate(divide="ignore", over="ignore"):
-                log_sharp = (-tau * rate
-                             - np.log(np.maximum(eta, 1e-300))
-                             - 0.5 * np.log(2 * np.pi * tau * np.maximum(curv, 1e-300)))
+                log_sharp = _log_sharp_tail(tau, eta, rate, curv)
                 log_central = log_ndtr(-x[upper])
             weight = np.clip((psi - 2.0) / 2.0, 0.0, 1.0)
             vals = np.exp((1.0 - weight) * log_central + weight * log_sharp)
             vals[q[upper] >= model.sup_support] = 0.0
             out[upper] = np.minimum(vals, 1.0)
-        return float(out[0]) if np.ndim(y) == 0 else out
+        return like(y, out)
 
     return curve
 
 
-def log_tail_bound(model: IncrementModel, tau: int, t: np.ndarray) -> np.ndarray:
+def log_tail_bound(model: IncrementModel, tau: int, t: np.ndarray) -> np.ndarray | float:
     """Upper bound on log P(S_tau >= t) over an array of thresholds, valid for every one.
 
     Gaussian models use the exact tail.  Otherwise the bound is 0 below the
@@ -549,7 +569,7 @@ def log_tail_bound(model: IncrementModel, tau: int, t: np.ndarray) -> np.ndarray
     from scipy.special import log_ndtr  # here, so importing the package skips scipy
     t = np.asarray(t, dtype=float)
     if model.kind == "gaussian":
-        return log_ndtr(-((t - tau * model.mean) / np.sqrt(tau * model.variance)))
+        return like(t, log_ndtr(-((t - tau * model.mean) / np.sqrt(tau * model.variance))))
     out = np.zeros_like(t)
     sup = tau * model.sup_support
     out[t >= sup] = -np.inf
@@ -564,7 +584,7 @@ def log_tail_bound(model: IncrementModel, tau: int, t: np.ndarray) -> np.ndarray
             lam_hi = log_mgf(model, model.lambda_hi)
             chernoff[beyond] = -tau * (model.lambda_hi * q[mid][beyond] - lam_hi)
         out[mid] = chernoff
-    return out
+    return like(t, out)
 
 
 def model_from_dict(spec: dict) -> IncrementModel:

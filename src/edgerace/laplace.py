@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import increments as inc
-from .numerics import adaptive_gauss, logsumexp, monotone_root, row_blocks
+from .numerics import adaptive_gauss, frozen, like, logsumexp, monotone_root, row_blocks
 from .streams import StreamKey, generator
 
 NORMALIZE_TOL = 1e-12
@@ -66,8 +66,7 @@ class LaplaceMeasure:
     w: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float).view()
-        w = np.asarray(self.w, dtype=float).view()
+        u, w = frozen(self.u), frozen(self.w)
         if u.ndim != 1 or u.shape != w.shape or u.size == 0:
             raise ValueError("u and w must be matching nonempty 1-d arrays")
         if not ((u > 0) & (u < np.inf)).all():  # written so that NaN fails too
@@ -76,17 +75,13 @@ class LaplaceMeasure:
             raise ValueError("atom locations must be strictly increasing")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("atom weights must be positive and finite")
-        u.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "w", w)
 
     @cached_property
     def log_w(self) -> np.ndarray:
         """log of the weights, computed once per measure."""
-        lw = np.log(self.w)
-        lw.setflags(write=False)
-        return lw
+        return frozen(np.log(self.w))
 
     @property
     def total_mass(self) -> float:
@@ -111,15 +106,13 @@ def point_mass(u: float, w: float = 1.0) -> LaplaceMeasure:
 def log_transform(rho: LaplaceMeasure, x: np.ndarray | float) -> np.ndarray | float:
     """log R(x), a float for a scalar x and an array of x's shape otherwise."""
     xs = np.asarray(x, dtype=float)
-    t = logsumexp(rho.log_w[None, :] - np.outer(xs, rho.u), axis=1)  # outer ravels xs
-    return t.reshape(xs.shape) if xs.ndim else float(t[0])
+    return like(xs, logsumexp(rho.log_w[None, :] - np.outer(xs, rho.u), axis=1))  # outer ravels
 
 
 def transform(rho: LaplaceMeasure, x: np.ndarray | float) -> np.ndarray | float:
     """R(x) = sum_i w_i e^{-x u_i}, in the shape of x; evaluated through logs to
     dodge overflow."""
-    out = np.exp(log_transform(rho, x))
-    return out if np.ndim(x) else float(out)
+    return like(x, np.exp(log_transform(rho, x)))
 
 
 def shift(rho: LaplaceMeasure, alpha: float) -> LaplaceMeasure:
@@ -195,8 +188,7 @@ class TailIntensity:
         else:
             logt = np.log(ts.ravel())
             out = self._inverse_newton(logt, *self._bracket(logt)) + self.offset
-            out = out.reshape(ts.shape)
-        return out if np.ndim(t) else float(out[0])
+        return like(t, out)
 
     def _bracket(self, logt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """[lo, hi] with log R(lo) >= logt >= log R(hi), level by level, read off

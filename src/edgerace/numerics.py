@@ -21,12 +21,17 @@ that the Laplace transforms reduce.
 most `BLOCK_CELLS` cells (1 MB of float64, so a block and its temporaries stay
 in cache).  Callers that reduce each row on its own get the same bits for any
 block size.
+
+`frozen(a)` is the read-only float64 view every value type holds: it shares
+a float64 caller's memory and leaves the caller's array writable.
+`like(x, out)` hands a vectorised function's result back in the kind of its
+argument: a float for a scalar or 0-d x, out in x's shape otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +44,19 @@ BRACKET_STEPS = 200     # widening steps monotone_root takes before it gives up
 _BRENTQ_RTOL = 8.9e-16  # relative root width of monotone_root's Brent loop
 _BRENTQ_ITER = 100      # iterations of the Brent loop before it gives up
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+
+
+def frozen(a: np.ndarray | Sequence[float]) -> np.ndarray:
+    """Read-only float64 view of a, sharing a float64 array's memory."""
+    view = np.asarray(a, dtype=float).view()
+    view.setflags(write=False)
+    return view
+
+
+def like(x: np.ndarray | float, out: np.ndarray) -> np.ndarray | float:
+    """out for the argument x: a float for a scalar or 0-d x, else out in x's shape."""
+    shape = np.shape(x)
+    return out.reshape(shape) if shape else float(out.flat[0])
 
 
 def row_blocks(rows: int, row_len: int) -> Iterator[slice]:

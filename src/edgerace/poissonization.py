@@ -38,7 +38,7 @@ from . import increments as inc
 from .configurations import Configuration
 from .increments import tail_curve
 from .laplace import LaplaceMeasure
-from .numerics import row_blocks
+from .numerics import frozen, like, row_blocks
 
 FRONT_XTOL = 1e-8           # bisection width at which z_front stops
 LEADER_GRID_POINTS = 2001   # levels of the default leader-law grid
@@ -83,8 +83,7 @@ def expected_count_above(config: Configuration, model: inc.IncrementModel, tau: 
     or an array of levels (the blocked sum of `z_front`)."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    counts = _count_curve(config, model, tau)(x)
-    return counts.reshape(np.shape(x)) if np.ndim(x) else float(counts[0])
+    return like(x, _count_curve(config, model, tau)(x))
 
 
 def z_front(config: Configuration, model: inc.IncrementModel, tau: int) -> float:
@@ -124,7 +123,7 @@ def z_front(config: Configuration, model: inc.IncrementModel, tau: int) -> float
 
 @dataclass(frozen=True)
 class LeaderLaw:
-    """CDF of the leader after tau steps on a grid, exact or Poisson surrogate.
+    """CDF of the leader after tau steps on a grid.
 
     Given float64 arrays, the instance shares their memory and holds
     read-only views of them; the caller's arrays stay writable.
@@ -132,17 +131,13 @@ class LeaderLaw:
 
     grid: np.ndarray
     cdf: np.ndarray
-    kind: str  # "exact" | "surrogate"
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float).view()
-        cdf = np.asarray(self.cdf, dtype=float).view()
+        grid, cdf = frozen(self.grid), frozen(self.cdf)
         if grid.shape != cdf.shape or grid.ndim != 1:
             raise ValueError("grid and cdf must be matching 1-d arrays")
         if np.any(np.diff(cdf) < -1e-12):
             raise ValueError("cdf must be nondecreasing")
-        grid.setflags(write=False)
-        cdf.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "cdf", cdf)
 
@@ -218,7 +213,7 @@ def leader_laws(config: Configuration, model: inc.IncrementModel, tau: int,
     # so only the exact law and the surrogate's upper sweep are enforced
     if exact[0] > 1e-6 or exact[-1] < 1 - 1e-6 or surrogate[-1] < 1 - 1e-6:
         raise ValueError("grid too narrow: the laws do not sweep (1e-6, 1-1e-6)")
-    return (LeaderLaw(grid, exact, "exact"), LeaderLaw(grid, surrogate, "surrogate"))
+    return LeaderLaw(grid, exact), LeaderLaw(grid, surrogate)
 
 
 def law_distance(p: LeaderLaw, q: LeaderLaw) -> float:

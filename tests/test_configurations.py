@@ -54,15 +54,18 @@ def test_configuration_checks_match_diff_predicates(data):
 _LINE = np.linspace(0.0, 1.0, 11)
 
 
-@pytest.mark.parametrize("build, arrays, fields", [
-    (lambda pos: cf.Configuration(pos, 1.0), [_LINE[::-1]], ["positions"]),
-    (lp.LaplaceMeasure, [_LINE + 0.5, np.ones(11)], ["u", "w"]),
-    (lambda grid, cdf: pz.LeaderLaw(grid, cdf, "exact"), [_LINE, _LINE], ["grid", "cdf"]),
-    (inc.tabulated, [_LINE, np.ones(11)], ["grid", "density"]),
+@pytest.mark.parametrize("build, arrays, fields, derived", [
+    (lambda pos: cf.Configuration(pos, 1.0), [_LINE[::-1]], ["positions"], []),
+    (lp.LaplaceMeasure, [_LINE + 0.5, np.ones(11)], ["u", "w"], ["log_w"]),
+    (pz.LeaderLaw, [_LINE, _LINE], ["grid", "cdf"], []),
+    (inc.tabulated, [_LINE, np.ones(11)], ["grid", "density"], []),
 ], ids=["Configuration", "LaplaceMeasure", "LeaderLaw", "IncrementModel"])
-def test_instance_freezes_a_view_not_the_callers_array(build, arrays, fields):
+def test_instance_freezes_a_view_not_the_callers_array(build, arrays, fields, derived):
     given = [a.copy() for a in arrays]
     instance = build(*given)
+    for name in derived:  # arrays the instance computes are read-only too
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(instance, name)[0] = -1.0
     for a, original, name in zip(given, arrays, fields):
         held = getattr(instance, name)
         assert a.flags.writeable and not held.flags.writeable

@@ -385,6 +385,33 @@ def test_cli_root_solve_that_does_not_converge_is_usage_error(tmp_path, capsys, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("model, q", [
+    # tilting the 301-point uniform by eta(1.8), about 5, used to fail the
+    # density check: tilt divided by the closed-form Lambda, not the table's mass
+    ({"kind": "uniform", "lo": -1.0, "hi": 2.0, "grid_points": 301}, 1.8),
+    # at tau 400 both formula tails underflow to 0.0: their ratio is taken from logs
+    (GAUSSIAN, 2.0),
+], ids=["uniform-tilt", "gaussian-underflow"])
+def test_cli_tails_far_in_the_tail_reports_a_metric(tmp_path, capsys, model, q):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"experiment": "tails", "seed": 41, "model": model, "q": q,
+                                  "mc_samples": 20000}))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out", str(out_dir)]) in (0, 1)
+    assert "edgerace:" not in capsys.readouterr().err
+    assert (out_dir / "report.csv").exists()
+
+
+def test_cli_tails_importance_sampling_underflow_names_tau_and_y(tmp_path, capsys):
+    # at q 4 the importance weights at tau_main 100 fall below the float range
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"experiment": "tails", "seed": 41, "model": GAUSSIAN,
+                                  "q": 4.0, "mc_samples": 20000}))
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "edgerace: importance-sampling tail at tau 100, y 400.0 underflows to 0\n")
+
+
 def test_cli_poissonize_leader_ahead_of_the_front_names_the_round_trip(tmp_path, capsys):
     # the round-trip base of seed 611 has its leader 3.36 ahead of the second
     # particle: at roundtrip_tau 4 its per-step demand, -0.31, is below the

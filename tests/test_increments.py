@@ -292,6 +292,26 @@ def test_q_max_is_the_tilted_mean_at_lambda_hi(std_gaussian, unit_uniform, table
             inc.legendre(model, model.q_max)
 
 
+@pytest.mark.parametrize("model, s", [(inc.uniform(0.0, 1.0), 79.0),
+                                      (inc.uniform(0.0, 1.0), 80.0),
+                                      (inc.uniform(-1.0, 2.0, grid_points=301), 20.0)],
+                         ids=["unit-79", "unit-80", "301-point-20"])
+def test_uniform_tilt_builds_up_to_lambda_hi(model, s):
+    # the tilted table is divided by its own quadrature mass, which is what
+    # the density check integrates; the closed-form Lambda missed it by 1e-8
+    assert s <= model.lambda_hi
+    tilted = inc.tilt(model, s)
+    assert abs(inc._integrate(tilted.grid, tilted.density) - 1.0) <= inc.DENSITY_TOL
+
+
+def test_tabulated_tilt_divides_by_its_log_moment(table_model):
+    # for a tabulated model the quadrature mass is exp(log_mgf), bit for bit
+    s = 0.5 * table_model.lambda_hi
+    expected = np.exp(s * table_model.grid + np.log(table_model.density)
+                      - inc.log_mgf(table_model, s))
+    assert inc.tilt(table_model, s).density.tobytes() == expected.tobytes()
+
+
 def test_tail_ratio_exact_values(std_gaussian):
     got = inc.tail_ratio(std_gaussian, 100, 0.3, 1.0)
     assert got.ratio == pytest.approx(0.7167972621235027, rel=1e-12)

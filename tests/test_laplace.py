@@ -279,21 +279,6 @@ def test_intensity_inverse_round_trip(two_atom):
         assert lp.transform(f.rho, x - f.offset) == pytest.approx(t, rel=1e-9)
 
 
-@pytest.mark.parametrize("atoms", [[(1.5, 2.0)], [(0.5, 0.2), (1.0, 0.5), (3.0, 0.3)]],
-                         ids=["one-atom", "three-atom"])
-def test_transforms_and_inverse_keep_the_shape_of_their_argument(atoms):
-    # a 2-d argument gives the 1-d call's values, bit for bit, in its own shape
-    f = lp.TailIntensity(lp.measure(atoms), 0.25)
-    levels = np.geomspace(1e-3, 1e3, 12).reshape(3, 4)
-    for t in (levels, levels.T):
-        for fn in (lambda a: lp.log_transform(f.rho, a), lambda a: lp.transform(f.rho, a),
-                   f.inverse):
-            got = fn(t)
-            assert got.shape == t.shape
-            assert got.tobytes() == fn(t.ravel()).reshape(t.shape).tobytes()
-            assert type(fn(float(t[0, 0]))) is float
-
-
 def _many_atoms(n: int, seed: int) -> lp.LaplaceMeasure:
     rng = np.random.default_rng(seed)
     u = np.sort(rng.uniform(0.05, 4.0, size=n))

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
+from edgerace import configurations as cf
 from edgerace import increments as inc
 from edgerace import laplace as lp
 from edgerace import numerics
+from edgerace import poissonization as pz
 
 FINITE = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False, width=64)
 SHAPES = st.one_of(st.tuples(st.integers(1, 8)),
@@ -221,3 +223,60 @@ def test_monotone_root_that_does_not_converge_is_arithmetic_error():
     # the same 100 iterations end at the same point
     with pytest.raises(ArithmeticError, match=f"did not converge.*x={re.escape(numerics.fmt17(last))}"):
         numerics.monotone_root(step, -1e300, 1e300)
+
+
+_NORMAL_GRID = np.linspace(-8.0, 8.0, 401)
+_KINDS = {"gaussian": inc.gaussian(0.0, 1.0), "uniform": inc.uniform(0.0, 1.0),
+          "tabulated": inc.tabulated(_NORMAL_GRID, np.exp(-0.5 * _NORMAL_GRID ** 2)
+                                     / math.sqrt(2.0 * math.pi))}
+_MEASURES = {"one-atom": lp.point_mass(1.5, 2.0),
+             "three-atom": lp.measure([(0.5, 0.2), (1.0, 0.5), (3.0, 0.3)])}
+
+
+def _vectorised_calls():
+    """(id, one-argument call, a 1-d argument of six values) for each vectorised
+    function, on each kind of model or measure it takes."""
+    tau, front = 4, cf.Configuration(np.array([0.5, 0.0, -1.0]), math.inf)
+    span = np.linspace(0.0, 0.8, 6)
+    for kind, m in _KINDS.items():
+        sd = math.sqrt(m.variance)
+        levels = tau * m.mean + math.sqrt(tau) * sd * np.linspace(-3.0, 3.0, 6)
+        calls = {"log_mgf": (lambda a, m=m: inc.log_mgf(m, a), span * m.lambda_hi),
+                 "cumulant": (lambda a, m=m: inc.cumulant(m, a), span * m.lambda_hi),
+                 "legendre": (lambda a, m=m: inc.legendre(m, a),
+                              m.mean + span * (m.q_max - m.mean)),
+                 "step_cdf": (lambda a, m=m: inc.step_cdf(m, a),
+                              m.mean + sd * np.linspace(-3.0, 3.0, 6)),
+                 "tail_curve": (inc.tail_curve(m, tau), levels),
+                 "log_tail_bound": (lambda a, m=m: inc.log_tail_bound(m, tau, a), levels),
+                 "expected_count_above": (
+                     lambda a, m=m: pz.expected_count_above(front, m, tau, a), levels)}
+        for name, (call, arg) in calls.items():
+            yield f"{name}-{kind}", call, arg
+    for kind, rho in _MEASURES.items():
+        calls = {"log_transform": lambda a, rho=rho: lp.log_transform(rho, a),
+                 "transform": lambda a, rho=rho: lp.transform(rho, a),
+                 "inverse": lp.TailIntensity(rho, 0.25).inverse}
+        for name, call in calls.items():
+            arg = np.geomspace(1e-2, 1e2, 6) if name == "inverse" else np.linspace(-1, 2, 6)
+            yield f"{name}-{kind}", call, arg
+
+
+def _fields(result):
+    # Cumulant and Legendre give every field in the argument's kind
+    return result if isinstance(result, tuple) else (result,)
+
+
+@pytest.mark.parametrize("call, arg",
+                         [pytest.param(c, a, id=i) for i, c, a in _vectorised_calls()])
+def test_vectorised_functions_return_in_the_kind_of_their_argument(call, arg):
+    # a float for a Python float or a 0-d array, bitwise the 1-d call's value;
+    # the argument's shape otherwise, bitwise the 1-d call on the raveled argument
+    for scalar in (float(arg[1]), np.array(arg[1])):
+        for got, ref in zip(_fields(call(scalar)), _fields(call(arg[1:2]))):
+            assert type(got) is float
+            assert np.float64(got).tobytes() == ref.tobytes()
+    for shaped in (arg, arg.reshape(2, 3), arg.reshape(3, 2).T):
+        for got, ref in zip(_fields(call(shaped)), _fields(call(shaped.ravel()))):
+            assert isinstance(got, np.ndarray) and got.shape == shaped.shape
+            assert got.tobytes() == ref.reshape(shaped.shape).tobytes()

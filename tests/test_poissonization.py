@@ -153,11 +153,11 @@ def test_leader_laws_narrow_grid_rejected(std_gaussian, rem_config):
 
 def test_law_distance_identical_and_point_masses():
     grid = np.array([0.0, 1.0])
-    p = pz.LeaderLaw(grid, np.array([1.0, 1.0]), "exact")
-    q = pz.LeaderLaw(grid, np.array([0.0, 1.0]), "exact")
+    p = pz.LeaderLaw(grid, np.array([1.0, 1.0]))
+    q = pz.LeaderLaw(grid, np.array([0.0, 1.0]))
     assert pz.law_distance(p, p) == 0.0
     assert pz.law_distance(p, q) == pytest.approx(2.0)
-    other = pz.LeaderLaw(grid + 1.0, np.array([1.0, 1.0]), "exact")
+    other = pz.LeaderLaw(grid + 1.0, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         pz.law_distance(p, other)
 
