@@ -24,7 +24,7 @@ current = rho
 for it in range(1, 16):
     nxt = convolve_g(current, MODEL)
     print(f"{it:4d} {nxt.w[0]:14.6f} {nxt.w[1]:14.6f} "
-          f"{gap_functional(nxt, 1.0):11.6f} {str(steeper(nxt, current, LEVELS).holds):>9}")
+          f"{gap_functional(nxt, 1.0):11.6f} {str(steeper(nxt, current, LEVELS)):>9}")
     current = nxt
     if current.w[0] < 1e-3:
         print(f"slow atom below 1e-3 after {it} iterations")

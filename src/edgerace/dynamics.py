@@ -139,10 +139,10 @@ def truncation_bias(config: Configuration, model: inc.IncrementModel, tau: int,
     depth y is A lam e^{lam y}, and integrates the tau-step tail of reaching
     `cutoff`.
     """
-    a, lam = _fit_occupancy(config)
     w = config.window_depth
     if not np.isfinite(w):
-        return 0.0
+        return 0.0  # nothing lies below an infinite window
+    a, lam = _fit_occupancy(config)
     leader = config.leader
 
     def log_integrand(y: np.ndarray) -> np.ndarray:

@@ -449,7 +449,7 @@ def _run_contraction(spec: ExperimentSpec) -> ExperimentReport:
     threshold = spec.tolerances["atom_threshold"]
     margin = spec.tolerances["oracle_margin"]
     key = (spec.seed,)
-    corpus = lp.random_corpus(corpus_n, substream(key, 0))
+    corpus = lp.random_corpus(corpus_n, substream(key, 0), model.lambda_hi)
     levels = np.geomspace(1e-4, 1e4, 81)
 
     concentration_bad = 0
@@ -459,7 +459,7 @@ def _run_contraction(spec: ExperimentSpec) -> ExperimentReport:
         out = lp.convolve_g(rho, model)
         if np.any(np.cumsum(out.w) > np.cumsum(rho.w) + slack):
             concentration_bad += 1
-        if not lp.steeper(out, rho, levels, slack=slack).holds:
+        if not lp.steeper(out, rho, levels, slack=slack):
             steepness_bad += 1
         for u in (0.5, 1.5, 3.0):
             if not lp.gap_functional(out, u) < lp.gap_functional(rho, u) - slack:

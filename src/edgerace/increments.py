@@ -11,15 +11,16 @@ the program tilts only toward upper tails.  The log moment Lambda alone comes
 from `log_mgf`; `cumulant` adds the tilted mean and variance, which only the
 tabulated and uniform kinds need quadrature for.
 
-This is the only module that knows how a tail probability is computed, and
-the model's kind picks every formula: the closed-form normal tail for the
-gaussian, otherwise Bahadur-Rao sharp-tail terms built from the tilt, rate
-and curvature that `legendre` returns.  The queries are the one-step cdf
-(`step_cdf`), strict single-point tau-step tails (`sum_tail`, and
-`tail_ratio`, which divides formula tails through their logs, or samples by
-importance when given a stream), full-line curves (`tail_curve`, whose
-gaussian formula `sum_tail` evaluates) and the Chernoff bound on the
-log-tail (`log_tail_bound`).  Those that need
+This is the only module that knows how a tail probability is computed.  The
+tau-step tail is one curve, `tail_curve`: the central-limit tail, exact for
+the gaussian, with the Bahadur-Rao sharp tail (built from the tilt, rate and
+curvature that `legendre` returns) blended in above the mean for every other
+kind.  The queries are the one-step cdf (`step_cdf`), strict single-point
+tau-step tails (`sum_tail`, which evaluates the gaussian curve or the sharp
+tail, and `tail_ratio`, which divides formula tails through their logs, or
+samples by importance when given a stream), the full-line curve and the
+Chernoff bound on the log-tail (`log_tail_bound`).  A per-step target's
+attainable range is checked in one place, `legendre`.  Those that need
 `scipy.special` import it when they run, not at package import.
 
 Every operation is pure; sampling takes an explicit stream key.
@@ -460,8 +461,7 @@ def _tail_target(model: IncrementModel, tau: int, y: float) -> tuple[int, float,
     q = y / tau
     if q <= model.mean:
         raise ValueError(f"per-step target {q} at or below the mean {model.mean}; query rejected")
-    # clipped at q_max itself: q below it is left as is, and legendre rejects the rest
-    return tau, y, legendre(model, np.clip(q, model.mean, model.q_max))
+    return tau, y, legendre(model, q)  # legendre rejects q at or above q_max
 
 
 def _log_sharp_tail(tau: int, eta: np.ndarray | float, rate: np.ndarray | float,
@@ -513,43 +513,35 @@ def tail_ratio(model: IncrementModel, tau: int, q: float, x: float, *,
 
 
 def tail_curve(model: IncrementModel, tau: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized y -> P(S_tau >= y) over the whole line; the model picks the formula.
+    """Vectorized y -> P(S_tau >= y) over the whole line.
 
-    Gaussian models get the exact normal tail.  Every other kind gets, above
-    the mean (q = y / tau > mean), the sharp-tail approximation blended with
-    the central-limit tail (log-linear in the standardized exceedance) between
-    two and four tilted standard deviations, and 0.0 at or beyond the
-    supported maximum; at or below the mean it is the plain central-limit
-    tail ndtr(-x), with no sharp-tail term.  The blend serves full-line
-    surrogate laws; strict single-point queries, which reject targets outside
-    the attainable range instead of clipping them, are `sum_tail` in this
-    module.
+    One curve for every kind: the central-limit tail ndtr(-x) in the
+    standardized exceedance x = (y - tau mean) / sqrt(tau variance), which is
+    the exact tail of a gaussian.  Every other kind blends in, above the mean
+    (q = y / tau > mean), the sharp-tail approximation (log-linear in the
+    standardized exceedance) between two and four tilted standard deviations,
+    and gives 0.0 at or beyond the supported maximum.  The blend serves
+    full-line surrogate laws; strict single-point queries, which reject
+    targets outside the attainable range instead of clipping them, are
+    `sum_tail` in this module.
     """
     from scipy.special import log_ndtr, ndtr  # here, once per curve built, not per call
-    if model.kind == "gaussian":
-        m = model.mean
-        scale = np.sqrt(tau * model.variance)
-
-        def curve_exact(y: np.ndarray) -> np.ndarray:
-            # upper normal tail via ndtr of the negated argument (fast path)
-            return like(y, ndtr((tau * m - np.asarray(y, dtype=float)) / scale))
-
-        return curve_exact
-
     sd = np.sqrt(tau * model.variance)
 
     def curve(y: np.ndarray) -> np.ndarray:
         ys = np.atleast_1d(np.asarray(y, dtype=float))
+        x = (tau * model.mean - ys) / sd  # minus the standardized exceedance
+        out = ndtr(x)
+        if model.kind == "gaussian":
+            return like(y, out)
         q = ys / tau
-        x = (ys - tau * model.mean) / sd
-        out = ndtr(-x)
         upper = q > model.mean
         if np.any(upper):
-            eta, rate, curv = legendre(model, np.clip(q[upper], model.mean, model.q_max - 1e-9))
+            eta, rate, curv = legendre(model, np.minimum(q[upper], model.q_max - 1e-9))
             psi = eta * np.sqrt(tau * curv)  # eta times the tilted sd of S_tau
             with np.errstate(divide="ignore", over="ignore"):
                 log_sharp = _log_sharp_tail(tau, eta, rate, curv)
-                log_central = log_ndtr(-x[upper])
+                log_central = log_ndtr(x[upper])
             weight = np.clip((psi - 2.0) / 2.0, 0.0, 1.0)
             vals = np.exp((1.0 - weight) * log_central + weight * log_sharp)
             vals[q[upper] >= model.sup_support] = 0.0
@@ -576,7 +568,7 @@ def log_tail_bound(model: IncrementModel, tau: int, t: np.ndarray) -> np.ndarray
     q = t / tau
     mid = (q > model.mean) & (t < sup)
     if np.any(mid):
-        qs = np.clip(q[mid], model.mean, model.q_max - 1e-12)
+        qs = np.minimum(q[mid], model.q_max - 1e-12)
         chernoff = -tau * legendre(model, qs).rate
         # past the clip point, keep the boundary-tilt Chernoff line
         beyond = q[mid] > qs

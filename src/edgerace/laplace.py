@@ -254,13 +254,8 @@ def exponential_intensity(s: float, z: float = 0.0) -> TailIntensity:
     return TailIntensity(point_mass(s, 1.0), float(z))
 
 
-class SteeperResult(NamedTuple):
-    holds: bool
-    witness: tuple[float, float] | None  # violating level pair (a, b), a < b
-
-
 def steeper(g: LaplaceMeasure, f: LaplaceMeasure, levels: Sequence[float],
-            slack: float = STEEPER_SLACK) -> SteeperResult:
+            slack: float = STEEPER_SLACK) -> bool:
     """True when every level interval of R_g is no longer than that of R_f.
 
     Checks R_g^{-1}(a) - R_g^{-1}(b) <= R_f^{-1}(a) - R_f^{-1}(b) + slack over
@@ -270,13 +265,7 @@ def steeper(g: LaplaceMeasure, f: LaplaceMeasure, levels: Sequence[float],
     d = np.asarray(TailIntensity(g).inverse(lv)) - np.asarray(TailIntensity(f).inverse(lv))
     # the all-pairs condition says d may not drop by more than the slack as the
     # level rises, so compare each point against the running maximum before it
-    prefix = np.maximum.accumulate(d)
-    bad = np.nonzero(prefix - d > slack)[0]
-    if bad.size == 0:
-        return SteeperResult(True, None)
-    j = int(bad[0])
-    i = int(np.argmax(d[:j + 1]))
-    return SteeperResult(False, (float(lv[i]), float(lv[j])))
+    return not np.any(np.maximum.accumulate(d) - d > slack)
 
 
 def gap_functional(rho: LaplaceMeasure, u: float) -> float:
@@ -330,13 +319,19 @@ def expected_gap(rho: LaplaceMeasure, n: int) -> float:
     return val
 
 
-def random_corpus(n_measures: int, stream: StreamKey) -> list[LaplaceMeasure]:
+def random_corpus(n_measures: int, stream: StreamKey, u_max: float) -> list[LaplaceMeasure]:
     """Normalized random atomic measures with every atom carrying real mass.
 
-    Used by the monotonicity and contraction checks; the rejection loop keeps
-    only draws whose post-normalization weights all stay above
+    Used by the monotonicity and contraction checks.  Atoms are drawn on
+    CORPUS_U_RANGE cut at u_max, so a caller that convolves the corpus passes
+    its model's lambda_hi; ValueError when no atom fits.  The rejection loop
+    keeps only draws whose post-normalization weights all stay above
     CORPUS_MIN_WEIGHT.
     """
+    u_lo = CORPUS_U_RANGE[0]
+    if not u_max > u_lo:  # written so that NaN fails too
+        raise ValueError(f"no corpus atom fits below u_max={u_max!r}: atoms start at u={u_lo}")
+    u_hi = min(CORPUS_U_RANGE[1], u_max)
     rng = generator(stream)
     out: list[LaplaceMeasure] = []
     attempts = 0
@@ -345,7 +340,7 @@ def random_corpus(n_measures: int, stream: StreamKey) -> list[LaplaceMeasure]:
         if attempts > 100 * n_measures:
             raise RuntimeError("corpus rejection loop failed to converge")
         k = int(rng.integers(CORPUS_ATOMS[0], CORPUS_ATOMS[1] + 1))
-        u = np.sort(rng.uniform(*CORPUS_U_RANGE, size=k))
+        u = np.sort(rng.uniform(u_lo, u_hi, size=k))
         if np.any(np.diff(u) < 1e-3):
             continue
         w = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=k))

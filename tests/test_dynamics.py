@@ -283,6 +283,13 @@ def test_truncation_bias_uniform_support_cutoff():
     assert bound < 1e-8
 
 
+def test_truncation_bias_infinite_window_needs_no_fit(std_gaussian):
+    # nothing lies below an infinite window, even where no profile can be fitted
+    for positions in ([0.0], [0.0, -1.0, -2.5]):
+        config = cf.Configuration(positions, np.inf)
+        assert dy.truncation_bias(config, std_gaussian, 1, cutoff=0.0) == 0.0
+
+
 def test_truncation_bias_degenerate_fit(std_gaussian):
     single = cf.Configuration([0.0], 0.0)
     with pytest.raises(ValueError):

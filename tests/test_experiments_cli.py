@@ -412,6 +412,17 @@ def test_cli_tails_importance_sampling_underflow_names_tau_and_y(tmp_path, capsy
         "edgerace: importance-sampling tail at tau 100, y 400.0 underflows to 0\n")
 
 
+def test_cli_contraction_corpus_stays_in_the_models_tilt_range(tmp_path, capsys):
+    # gaussian(0, 4) has lambda_hi 2.75, below the corpus's default top of 4
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"experiment": "contraction", "seed": 41, "corpus": 20,
+                                  "model": {"kind": "gaussian", "mean": 0.0, "variance": 4.0}}))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out", str(out_dir)]) == 0
+    assert "edgerace:" not in capsys.readouterr().err
+    assert (out_dir / "report.csv").exists()
+
+
 def test_cli_poissonize_leader_ahead_of_the_front_names_the_round_trip(tmp_path, capsys):
     # the round-trip base of seed 611 has its leader 3.36 ahead of the second
     # particle: at roundtrip_tau 4 its per-step demand, -0.31, is below the

@@ -222,6 +222,35 @@ def test_sum_tail_rejects_below_mean(std_gaussian, unit_uniform):
             inc.sum_tail(model, 100, y)
 
 
+def test_sum_tail_above_q_max_names_the_requested_target(std_gaussian):
+    # legendre checks the attainable range, so its error names the caller's
+    # per-step target, 10, not q_max
+    with pytest.raises(ValueError, match=r"target mean 10(\.0)? not attainable"):
+        inc.sum_tail(std_gaussian, 10, 100.0)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "tabulated"])
+def test_tail_curve_at_or_below_the_mean_is_the_central_limit_tail(kind, unit_uniform,
+                                                                   table_model):
+    # the branch every kind shares: at y <= tau mean no sharp term blends in
+    model = unit_uniform if kind == "uniform" else table_model
+    tau = 7
+    curve = inc.tail_curve(model, tau)
+
+    def central(y):
+        return ndtr(-((np.asarray(y, dtype=float) - tau * model.mean)
+                      / np.sqrt(tau * model.variance)))
+
+    ys = tau * model.mean - np.array([[0.0, 0.3, 1.7], [4.0, 11.0, 40.0]])
+    for y in (float(ys[0, 1]), np.float64(ys[0, 0]), np.array(ys[1, 2]), ys[0], ys):
+        got = curve(y)
+        want = central(y)
+        if np.ndim(y) == 0:
+            assert type(got) is float and got == float(want)
+        else:
+            assert got.shape == np.shape(y) and np.array_equal(got, want)
+
+
 def test_sharp_terms_psi_positive(std_gaussian, unit_uniform):
     # psi = eta sqrt(tau curvature), the Bahadur-Rao scale, from one legendre call
     for model, q in ((std_gaussian, 0.2), (unit_uniform, 0.7)):

@@ -146,9 +146,10 @@ def test_monotone_root_is_brentq_on_convolution_shifts(seed, model):
         solves.append((fn, lo, hi))
         return real(fn, lo, hi)
 
+    m = CONVOLUTION_MODELS[model]
     with mock.patch.object(lp, "monotone_root", capture):
-        for rho in lp.random_corpus(3, (seed, 0)):
-            lp.convolution_shift(rho, CONVOLUTION_MODELS[model])
+        for rho in lp.random_corpus(3, (seed, 0), m.lambda_hi):
+            lp.convolution_shift(rho, m)
     assert len(solves) == 3
     for fn, lo, hi in solves:
         check_against_brentq(fn, lo, hi)
