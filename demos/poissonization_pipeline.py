@@ -43,10 +43,9 @@ for x in (-2.0, 0.0, 2.0):
 print()
 print("== round trip: resample the intensity vs evolve the configuration ==")
 reps = 400
-intensity = TailIntensity(rho, ext.z)
 rng = generator((22,))
 arrivals = np.cumsum(rng.exponential(size=(reps, 2)), axis=1)
-pts = np.asarray(intensity.inverse(arrivals.ravel())).reshape(reps, 2)
+pts = TailIntensity(rho).inverse(arrivals) + ext.z
 gap_resampled = pts[:, 0] - pts[:, 1]
 gap_evolved = np.empty(reps)
 for r in range(reps):

@@ -1,12 +1,12 @@
-"""Ranked particle configurations and Poisson sampling from a tail intensity.
+"""Ranked particle configurations and REM samples.
 
 A configuration is the leading window of a (possibly infinite) ranked point
 set: descending positions plus a declared window depth stating how far behind
-the leader the representation is faithful.  A Poisson sample is the top n
-points, produced by inverting the intensity tail at unit-rate arrival times,
-so it is bit-reproducible from its stream key and its first k points do not
-depend on n.  Samples are asked for by particle count only; the window depth
-of a sample is where its n-th point falls.
+the leader the representation is faithful.  A REM sample is the top n points
+of the Poisson process with intensity e^{-s(x - z)}, read off unit-rate
+arrival times in closed form, so it is bit-reproducible from its stream key
+and its first k points do not depend on n.  Samples are asked for by particle
+count only; the window depth of a sample is where its n-th point falls.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laplace import TailIntensity, exponential_intensity
 from .numerics import frozen
 from .streams import StreamKey, generator
 
@@ -58,28 +57,19 @@ def gaps(config: Configuration) -> np.ndarray:
     return config.leader - config.positions
 
 
-def sample_from_tail_intensity(intensity: TailIntensity, depth: int,
-                               stream: StreamKey) -> Configuration:
-    """The top `depth` points of the Poisson process whose expected count
-    above x is the intensity tail.
-
-    Positions are the intensity inverse at cumulative unit-rate exponential
-    arrivals; the window depth is the distance from the first to the last.
-    """
-    if not isinstance(depth, (int, np.integer)) or isinstance(depth, bool):
-        raise ValueError(f"particle count must be an integer, got {depth!r}")
-    if depth < 1:
-        raise ValueError("particle count must be positive")
-    arrivals = np.cumsum(generator(stream).exponential(size=int(depth)))
-    positions = np.asarray(intensity.inverse(arrivals), dtype=float)
-    return Configuration(positions, float(positions[0] - positions[-1]))
-
-
 def sample_rem(s: float, z: float, depth: int, stream: StreamKey) -> Configuration:
     """Top `depth` points of the Poisson process with the exponential intensity
     of rate s anchored at z.
 
-    The intensity is built once per (s, z) (`exponential_intensity` caches
-    it), so a replica costs its stream, its draws and one inversion.
+    By the mapping theorem the points are z - log(Gamma_k) / s at the
+    cumulative unit-rate exponential arrivals Gamma_k; the window depth is the
+    distance from the first to the last.
     """
-    return sample_from_tail_intensity(exponential_intensity(s, z), depth, stream)
+    if not 0.0 < s < np.inf:  # written so that NaN fails too
+        raise ValueError(f"rate must be positive and finite, got {s!r}")
+    if not isinstance(depth, (int, np.integer)) or isinstance(depth, bool):
+        raise ValueError(f"particle count must be an integer, got {depth!r}")
+    if depth < 1:
+        raise ValueError("particle count must be positive")
+    positions = z - np.log(np.cumsum(generator(stream).exponential(size=int(depth)))) / s
+    return Configuration(positions, float(positions[0] - positions[-1]))

@@ -390,11 +390,10 @@ def _run_poissonize(spec: ExperimentSpec) -> ExperimentReport:
         ext = pz.extract_laplace(omega, model, rt_tau)
     except ValueError as err:
         raise ValueError(f"poissonize round trip at roundtrip_tau {rt_tau}: {err}") from err
-    intensity = lp.TailIntensity(ext.measure, ext.z)
 
     rng = generator(substream(key, 10 ** 6, 1))
     arrivals = np.cumsum(rng.exponential(size=(rt_reps, 2)), axis=1)
-    pts = np.asarray(intensity.inverse(arrivals.ravel())).reshape(rt_reps, 2)
+    pts = lp.TailIntensity(ext.measure).inverse(arrivals) + ext.z
     gap_resampled = pts[:, 0] - pts[:, 1]
 
     def evolved_gap(r: int) -> float:
@@ -421,11 +420,11 @@ def _run_poissonize(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def _collapse_oracle(lam1: float, lam2: float, threshold: float) -> int:
-    """Weight-ratio recursion for an even two-atom measure at u = 1 and u = 2.
+    """Weight-ratio recursion for an even two-atom measure at u = c and u = 2c.
 
-    Convolution multiplies w1 by e^{lam1 - z} and w2 by e^{lam2 - 2z}, lam_k
-    being the log moment at u = k, with z the shift that restores unit mass.
-    With a = log w1 + lam1, b = log w2 + lam2 and y = e^{-z}, that mass is
+    Convolution multiplies w1 by e^{lam1 - zc} and w2 by e^{lam2 - 2zc}, lam_k
+    being the log moment at u = kc, with z the shift that restores unit mass.
+    With a = log w1 + lam1, b = log w2 + lam2 and y = e^{-zc}, that mass is
     e^a y + e^b y^2 = 1, whose positive root is y = 2 / (e^a + sqrt(e^{2a} +
     4 e^b)).  z is taken in log space, so a log moment far above 709 (a model
     shifted far up) cannot overflow.  Returns the first iteration whose w1
@@ -466,16 +465,18 @@ def _run_contraction(spec: ExperimentSpec) -> ExperimentReport:
                 gap_bad += 1
                 break
 
-    single = lp.point_mass(1.0 + 0.5 * float(generator(substream(key, 1)).random()), 1.0)
+    # the fixed atoms below sit at multiples of c, inside the tilt range [0, lambda_hi]
+    c = min(1.0, model.lambda_hi / 2.0)
+    single = lp.point_mass(c * (1.0 + 0.5 * float(generator(substream(key, 1)).random())), 1.0)
     single_out = lp.convolve_g(single, model)
     single_dev = max(abs(lp.gap_functional(single_out, u) - lp.gap_functional(single, u))
                      for u in (0.5, 2.0))
 
     # atom collapse: iterate the convolution on an even two-atom measure and
     # compare against the weight-ratio recursion solved independently
-    expected_iters = _collapse_oracle(inc.log_mgf(model, 1.0), inc.log_mgf(model, 2.0),
+    expected_iters = _collapse_oracle(inc.log_mgf(model, c), inc.log_mgf(model, 2.0 * c),
                                       threshold)
-    rho = lp.measure([(1.0, 0.5), (2.0, 0.5)])
+    rho = lp.measure([(c, 0.5), (2.0 * c, 0.5)])
     track_rows = []
     iters = None
     for it in range(1, 500):

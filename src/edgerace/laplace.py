@@ -11,13 +11,13 @@ e^{S(u)} with S(u) = Lambda(u) - z u, the normalizing z re-solved each time.
 This is the engine behind the steepness order and the contraction checks.
 
 `gap_functional`, `expected_gap` and `steeper` take a measure: a shift of
-the configuration, the reweighting above, cannot change them.  A tail
-intensity F(x) = R(x - offset) places a measure, as sampling needs.  Its level
-crossings have one solver, which also finds the normalizing shift: a bracket
-read off the atoms, refined by safeguarded Newton on log R in row blocks of at
-most `numerics.BLOCK_CELLS` cells, so its memory stays flat in the number of
-levels and atoms.  Callers that need only a bracket, such as the quadrature
-range of `gap_functional`, take it as is.
+the configuration, the reweighting above, cannot change them.  The level
+crossings of R have one solver, `TailIntensity.inverse`, which also finds the
+normalizing shift: a bracket read off the atoms, refined by safeguarded Newton
+on log R in row blocks of at most `numerics.BLOCK_CELLS` cells, so its memory
+stays flat in the number of levels and atoms.  Callers that need only a
+bracket, such as the quadrature range of `gap_functional`, take it as is.  A
+front placed at z, as in the poissonize round trip, adds z to the crossings.
 
 `expected_gap` imports scipy's `gammaln` when it runs, so importing the
 package does not load `scipy.special`.
@@ -26,7 +26,7 @@ package does not load `scipy.special`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -137,9 +137,6 @@ def convolution_shift(rho: LaplaceMeasure, model: inc.IncrementModel) -> Convolu
     """Normalizing z for the increment-convolved measure, with the measure it normalizes."""
     if abs(rho.total_mass - 1.0) > UNIT_MASS_TOL:
         raise ValueError("measure must be normalized (unit mass) before convolving")
-    if rho.u[-1] > model.lambda_hi:
-        raise ValueError(
-            f"atom at u={rho.u[-1]:.6g} outside the model's safe cumulant range")
     lam = inc.log_mgf(model, rho.u)
     logw = rho.log_w + lam
 
@@ -162,37 +159,29 @@ def convolve_g(rho: LaplaceMeasure, model: inc.IncrementModel) -> LaplaceMeasure
 
 @dataclass(frozen=True)
 class TailIntensity:
-    """Decreasing positive intensity tail F(x) = R_rho(x - offset), a placed
-    front for sampling; `inverse` also solves the shift of `normalize`."""
+    """The decreasing positive intensity tail R_rho of a measure, with its one
+    level-crossing solver; `inverse` also solves the shift of `normalize`.
+    A front placed at z is R_rho(x - z), whose crossings are `inverse` + z."""
 
     rho: LaplaceMeasure
-    offset: float = 0.0
 
     def inverse(self, t: np.ndarray | float) -> np.ndarray | float:
-        """Level crossing F^{-1}(t) = inf{x : F(x) <= t}, in the shape of t.
+        """Level crossing R^{-1}(t) = inf{x : R(x) <= t}, in the shape of t.
 
-        One atom has a closed form.  Several atoms bracket every level without
-        evaluating the transform (`_bracket`) and refine the bracket by
-        safeguarded Newton on log R (`_inverse_newton`), on the raveled levels.
+        Every level is bracketed without evaluating the transform (`_bracket`)
+        and the bracket refined by safeguarded Newton on log R
+        (`_inverse_newton`), on the raveled levels.  For one atom the bracket
+        is the crossing itself, and Newton's clip keeps it there.
         """
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if (ts <= 0).any():
             raise ValueError("levels must be positive")
-        rho = self.rho
-        if rho.n_atoms == 1:
-            # offset - log(ts / w) / u, in one buffer
-            out = ts / rho.w[0]
-            np.log(out, out=out)
-            out /= rho.u[0]
-            np.subtract(self.offset, out, out=out)
-        else:
-            logt = np.log(ts.ravel())
-            out = self._inverse_newton(logt, *self._bracket(logt)) + self.offset
-        return like(t, out)
+        logt = np.log(ts.ravel())
+        return like(t, self._inverse_newton(logt, *self._bracket(logt)))
 
     def _bracket(self, logt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """[lo, hi] with log R(lo) >= logt >= log R(hi), level by level, read off
-        the atoms without evaluating the transform (offset not applied).
+        the atoms without evaluating the transform.
 
         Each single term bounds R below, which gives lo.  Above, R(x) is at
         most (sum w) e^{-u_min x} for x >= 0 and (sum w) e^{-u_max x} for
@@ -238,20 +227,6 @@ class TailIntensity:
                 raise ArithmeticError("level-crossing refinement did not converge")
             out[rows] = xi
         return out
-
-
-@lru_cache(maxsize=64)
-def exponential_intensity(s: float, z: float = 0.0) -> TailIntensity:
-    """Pure exponential tail e^{-s (x - z)}.
-
-    Built once per (s, z) and shared: the intensity is frozen and its arrays
-    are read-only, so a replica loop pays for the construction only once.
-    The cache compares arguments by value, so z = -0.0 returns the
-    intensity anchored at 0.0 when that one was built first.
-    """
-    if s <= 0:
-        raise ValueError("rate must be positive")
-    return TailIntensity(point_mass(s, 1.0), float(z))
 
 
 def steeper(g: LaplaceMeasure, f: LaplaceMeasure, levels: Sequence[float],

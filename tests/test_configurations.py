@@ -11,6 +11,7 @@ from edgerace import increments as inc
 from edgerace import laplace as lp
 from edgerace import poissonization as pz
 from edgerace import stats as st
+from edgerace.streams import generator
 
 
 def test_configuration_empty_rejected():
@@ -106,9 +107,13 @@ def test_rem_mean_count_within_three_sigma():
 
 
 def test_sample_rem_matches_intensity_sampler_bitwise():
-    a = cf.sample_rem(1.0, 0.0, 200, (77, 1))
-    b = cf.sample_from_tail_intensity(lp.exponential_intensity(1.0, 0.0), 200, (77, 1))
-    np.testing.assert_array_equal(a.positions, b.positions)
+    # the closed form z - log(Gamma) / s is the level-crossing solver at one
+    # unit atom, placed at z
+    arrivals = np.cumsum(generator((77, 1)).exponential(size=200))
+    for s, z in [(1.0, 0.7), (0.5, -3.0), (2.5, 1e-3), (7.0, 12.0)]:
+        a = cf.sample_rem(s, z, 200, (77, 1))
+        b = lp.TailIntensity(lp.point_mass(s, 1.0)).inverse(arrivals) + z
+        np.testing.assert_array_equal(a.positions, b)
 
 
 def test_sampler_determinism():
@@ -118,16 +123,21 @@ def test_sampler_determinism():
 
 
 def test_sampler_takes_a_particle_count():
-    intensity = lp.exponential_intensity(1.0)
-    config = cf.sample_from_tail_intensity(intensity, np.int64(40), (31,))
+    config = cf.sample_rem(1.0, 0.0, np.int64(40), (31,))
     assert config.size == 40
     assert config.window_depth == config.leader - config.positions[-1]
     # the first k points do not depend on how many are asked for
-    head = cf.sample_from_tail_intensity(intensity, 10, (31,))
+    head = cf.sample_rem(1.0, 0.0, 10, (31,))
     np.testing.assert_array_equal(head.positions, config.positions[:10])
     for bad in (5.0, True, 0):
-        with pytest.raises(ValueError):
-            cf.sample_from_tail_intensity(intensity, bad, (31,))
+        with pytest.raises(ValueError, match="particle count"):
+            cf.sample_rem(1.0, 0.0, bad, (31,))
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+def test_sample_rem_rejects_a_bad_rate(s):
+    with pytest.raises(ValueError, match="rate"):
+        cf.sample_rem(s, 0.0, 10, (31,))
 
 
 def test_rem_first_gap_exponential_ks():

@@ -423,6 +423,20 @@ def test_cli_contraction_corpus_stays_in_the_models_tilt_range(tmp_path, capsys)
     assert (out_dir / "report.csv").exists()
 
 
+@pytest.mark.parametrize("variance", [16.0, 25.0])
+def test_cli_contraction_fixed_atoms_stay_in_the_models_tilt_range(tmp_path, capsys, variance):
+    # gaussian(0, 16) and (0, 25) have lambda_hi 1.375 and 1.1: the single atom
+    # and the collapse pair sit at multiples of lambda_hi / 2, not of 1
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"experiment": "contraction", "seed": 41, "corpus": 8,
+                                  "model": {"kind": "gaussian", "mean": 0.0,
+                                            "variance": variance}}))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", str(config), "--out", str(out_dir)]) == 0
+    assert "edgerace:" not in capsys.readouterr().err
+    assert "collapse_iterations" in (out_dir / "report.csv").read_text()
+
+
 def test_cli_poissonize_leader_ahead_of_the_front_names_the_round_trip(tmp_path, capsys):
     # the round-trip base of seed 611 has its leader 3.36 ahead of the second
     # particle: at roundtrip_tau 4 its per-step demand, -0.31, is below the

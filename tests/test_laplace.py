@@ -131,6 +131,12 @@ def test_convolve_requires_normalized(std_gaussian):
         lp.convolve_g(lp.point_mass(1.0, 3.0), std_gaussian)
 
 
+def test_convolve_rejects_an_atom_beyond_lambda_hi():
+    # gaussian(0, 4) has lambda_hi 2.75; log_mgf names the range
+    with pytest.raises(ValueError, match="lambda_hi"):
+        lp.convolve_g(lp.measure([(1.0, 0.5), (3.0, 0.5)]), inc.gaussian(0.0, 4.0))
+
+
 def test_convolve_log_multiplier_sign_structure(std_gaussian, corpus):
     # S(u) = Lambda(u) - z u is convex with S(0) = 0: negative then positive
     for rho in corpus[:20]:
@@ -272,10 +278,10 @@ def test_contraction_drives_out_the_small_atom(std_gaussian, two_atom):
 
 
 def test_intensity_inverse_round_trip(two_atom):
-    f = lp.TailIntensity(two_atom, 0.3)
+    f = lp.TailIntensity(two_atom)
     for t in (0.05, 0.4, 3.0, 50.0):
         x = f.inverse(t)
-        assert lp.transform(f.rho, x - f.offset) == pytest.approx(t, rel=1e-9)
+        assert lp.transform(f.rho, x) == pytest.approx(t, rel=1e-9)
 
 
 def _many_atoms(n: int, seed: int) -> lp.LaplaceMeasure:
@@ -285,10 +291,10 @@ def _many_atoms(n: int, seed: int) -> lp.LaplaceMeasure:
 
 
 def test_intensity_inverse_newton_path():
-    f = lp.TailIntensity(_many_atoms(2000, 31), -0.7)
+    f = lp.TailIntensity(_many_atoms(2000, 31))
     ts = np.geomspace(1e-4, 1e4, 700)
     xs = f.inverse(ts)
-    np.testing.assert_allclose(lp.transform(f.rho, xs - f.offset), ts, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(lp.transform(f.rho, xs), ts, rtol=1e-9, atol=0)
     # a one-level call seeds Newton from its own bracket and lands on the same crossing
     for i in range(0, ts.size, 37):
         assert xs[i] == pytest.approx(f.inverse(float(ts[i])), rel=1e-12)
@@ -300,11 +306,9 @@ def test_intensity_inverse_hits_the_level(data):
     n = data.draw(hst.integers(1, 6))
     u = data.draw(hst.lists(hst.floats(0.05, 4.0), min_size=n, max_size=n, unique=True))
     w = data.draw(hst.lists(hst.floats(1e-3, 1e3), min_size=n, max_size=n))
-    offset = data.draw(hst.floats(-5.0, 5.0))
     ts = np.array(data.draw(hst.lists(hst.floats(1e-6, 1e6), min_size=1, max_size=8)))
-    f = lp.TailIntensity(lp.measure(zip(u, w)), offset)
-    np.testing.assert_allclose(lp.transform(f.rho, f.inverse(ts) - f.offset), ts,
-                               rtol=1e-10, atol=0)
+    f = lp.TailIntensity(lp.measure(zip(u, w)))
+    np.testing.assert_allclose(lp.transform(f.rho, f.inverse(ts)), ts, rtol=1e-10, atol=0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -327,7 +331,7 @@ def test_intensity_bracket_holds_the_crossing(data):
 
 
 def test_intensity_inverse_independent_of_blocks(monkeypatch):
-    f = lp.TailIntensity(_many_atoms(40, 32), 0.4)
+    f = lp.TailIntensity(_many_atoms(40, 32))
     ts = np.geomspace(1e-9, 1e9, 301)
     default = f.inverse(ts)
     # Newton stops block by block, so a level may take one more step in

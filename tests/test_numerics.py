@@ -257,7 +257,7 @@ def _vectorised_calls():
     for kind, rho in _MEASURES.items():
         calls = {"log_transform": lambda a, rho=rho: lp.log_transform(rho, a),
                  "transform": lambda a, rho=rho: lp.transform(rho, a),
-                 "inverse": lp.TailIntensity(rho, 0.25).inverse}
+                 "inverse": lp.TailIntensity(rho).inverse}
         for name, call in calls.items():
             arg = np.geomspace(1e-2, 1e2, 6) if name == "inverse" else np.linspace(-1, 2, 6)
             yield f"{name}-{kind}", call, arg

@@ -260,11 +260,10 @@ def test_extraction_round_trip_first_gap(std_gaussian):
     base = cf.sample_rem(1.0, 0.0, 10_000, (705,))
     omega = cf.Configuration(base.positions, np.inf)
     ext = pz.extract_laplace(omega, std_gaussian, tau)
-    intensity = lp.TailIntensity(ext.measure, ext.z)
 
     rng = generator((706,))
     arrivals = np.cumsum(rng.exponential(size=(reps, 2)), axis=1)
-    points = np.asarray(intensity.inverse(arrivals.ravel())).reshape(reps, 2)
+    points = lp.TailIntensity(ext.measure).inverse(arrivals) + ext.z
     gap_resampled = points[:, 0] - points[:, 1]
 
     gap_evolved = np.empty(reps)
